@@ -18,9 +18,8 @@ from .sde import (HISTORICAL, MatrixPathBundle, MeasureChange, SdeParams,
 from .calibrate import (HistCalibrationSpec, PdTargets, PropertyReport,
                         calibrate_historical, calibrate_risk_neutral,
                         hist_residual, property_report, rn_residual)
-from .ctmc import (NestedPaths, RatingPath, default_time, empirical_transition,
-                   nested_simulate, piecewise_generators, sample_from_bundle,
-                   simulation_error, ssa_sample)
+from .ctmc import (NestedPaths, empirical_transition, nested_simulate,
+                   piecewise_generators, sample_from_bundle, simulation_error)
 from .xva import (CsaTerms, PortfolioSpec, XvaResult, collateral_path,
                   compute_xva, perfect_terms, predefault_distribution,
                   simulate_portfolio, simulate_xva_paths, threshold_of,

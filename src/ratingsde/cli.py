@@ -2,8 +2,9 @@
 
 Subcommands: reconstruct, calibrate-hist, calibrate-rn, simulate, ssa,
 xva, report.  Global flags: --config PATH, --seed N (overrides config),
---out DIR, --threads N (speed only, never results).  Exit codes:
-0 success, 1 validation, 2 numerical failure, 3 I/O.
+--out DIR, --threads N (accepted for compatibility, no effect: every
+command runs on one thread, since 2 workers were slower than 1).  Exit
+codes: 0 success, 1 validation, 2 numerical failure, 3 I/O.
 
 All outputs are deterministic functions of (config, seed); wall-clock
 timings go to stderr only so reruns are byte-identical.
@@ -67,7 +68,7 @@ def _build_parser() -> _Parser:
                        help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (affects speed only)")
+                       help="accepted for compatibility; has no effect")
     return parser
 
 
@@ -220,7 +221,7 @@ def _cmd_simulate(args) -> int:
     grid = cfg.grid()
     bundle = simulate_paths_threaded(
         params, cfg.measure(), grid, cfg.get_int("sim.m", 1000), cfg.seed(),
-        threads=max(1, args.threads), store_y=False, store_w=False)
+        store_w=False)
     labels = cfg.labels()
     rp = bundle.require_rpaths()
     outputs = []
@@ -268,8 +269,7 @@ def _cmd_ssa(args) -> int:
     seed = cfg.seed()
 
     bundle = simulate_paths_threaded(params, measure, grid, m1, seed,
-                                     threads=max(1, args.threads),
-                                     store_y=False, store_w=False)
+                                     store_w=False)
     nested = {i0: sample_from_bundle(bundle, m2, i0, seed) for i0 in i0_list}
     outputs = []
     states_by_i0 = {i0: paths.flat_states for i0, paths in nested.items()}

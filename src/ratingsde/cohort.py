@@ -143,8 +143,3 @@ def repair(cohort: CohortMatrix, weights: WeightMatrix,
     unc = uncertainty_target(reconstructed, adj)
     return RepairOutputs(reconstructed=reconstructed, distance=dist,
                          adjusted=adj, uncertainty=unc)
-
-
-def repair_series(cohorts: list[CohortMatrix], weights: WeightMatrix) -> list[RepairOutputs]:
-    """Apply the repair independently to each time slice (e.g. 1/3/6/12 months)."""
-    return [repair(c, weights) for c in cohorts]

@@ -32,69 +32,9 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
     return coeffs_to_matrices(bundle.increments / bundle.grid.dt, bundle.k)
 
 
-@dataclass(frozen=True)
-class RatingPath:
-    """One piecewise-constant rating path with exact jump events."""
-
-    i0: int
-    events: tuple[tuple[float, int], ...]   # (jump time, new rating), 1-based
-    snapshots: np.ndarray                   # rating at each grid point
-    default_time: float | None
-    predefault: int | None                  # rating immediately before default
-
-
 def _open_unit(u: np.ndarray | float):
     """Map draws from [0,1) into (0,1) so log() stays finite."""
     return np.maximum(u, np.nextafter(0.0, 1.0))
-
-
-def ssa_sample(gen_path: np.ndarray, grid: TimeGrid, i0: int,
-               rng: np.random.Generator) -> RatingPath:
-    """Sample one rating path from a per-interval generator sequence."""
-    k = gen_path.shape[-1]
-    if not 1 <= i0 <= k:
-        raise ValidationError(f"initial rating must be in 1..{k}, got {i0}")
-    times = grid.times
-    cur = i0 - 1
-    events: list[tuple[float, int]] = []
-    snapshots = np.empty(grid.steps + 1, dtype=np.int8)
-    snapshots[0] = i0
-    default_time = 0.0 if cur == k - 1 else None
-    predefault = None
-    for step in range(grid.steps):
-        t = times[step]
-        t_end = times[step + 1]
-        while True:
-            rate = -gen_path[step, cur, cur]
-            if rate <= 0.0:
-                break
-            r1 = float(_open_unit(rng.random()))
-            tau = -np.log(r1) / rate
-            if t + tau >= t_end:
-                break
-            t += tau
-            r2 = float(_open_unit(rng.random()))
-            row = gen_path[step, cur].copy()
-            row[cur] = 0.0
-            cum = np.cumsum(row)
-            dest = int(np.argmax(cum > rate * r2))
-            if cum[-1] <= rate * r2:      # summation round-off guard
-                dest = int(np.max(np.nonzero(row > 0)[0]))
-            if dest == k - 1 and default_time is None:
-                default_time = t
-                predefault = cur + 1
-            cur = dest
-            events.append((t, cur + 1))
-            if cur == k - 1:
-                break
-        snapshots[step + 1] = cur + 1
-    return RatingPath(i0=i0, events=tuple(events), snapshots=snapshots,
-                      default_time=default_time, predefault=predefault)
-
-
-def default_time(path: RatingPath) -> float | None:
-    """Exact first entry time into the absorbing state, or None."""
-    return path.default_time
 
 
 def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
@@ -172,8 +112,8 @@ class NestedPaths:
         return self.states.reshape(self.m1 * self.m2, -1)
 
 
-def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int, seed: int,
-                       stream_label: int = 0) -> NestedPaths:
+def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
+                       seed: int) -> NestedPaths:
     """SSA-sample m2 paths per matrix trajectory of an existing bundle."""
     if m2 < 1:
         raise ValidationError(f"m2 must be >= 1, got {m2}")
@@ -181,7 +121,8 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int, seed: int,
     m1 = bundle.m
     gen_index = np.repeat(np.arange(m1), m2)
     i0_arr = np.full(m1 * m2, i0)
-    rng = _stream([seed, _SSA_STREAM_TAG, stream_label, i0])
+    # the constant 0 keeps the stream key, and so the draws, of earlier versions
+    rng = _stream([seed, _SSA_STREAM_TAG, 0, i0])
     states, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, rng)
     return NestedPaths(
         i0=i0, m1=m1, m2=m2, grid=bundle.grid, seed=seed,
@@ -197,8 +138,7 @@ def nested_simulate(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     """Outer matrix simulation plus inner SSA sampling; deterministic in seed."""
     if m1 < 1:
         raise ValidationError(f"m1 must be >= 1, got {m1}")
-    bundle = simulate_paths(params, measure, grid, m1, seed,
-                            store_rpaths=True, store_y=False, store_w=False)
+    bundle = simulate_paths(params, measure, grid, m1, seed, store_w=False)
     return sample_from_bundle(bundle, m2, i0, seed)
 
 

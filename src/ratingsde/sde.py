@@ -16,12 +16,12 @@ coordinate index), so results do not depend on scheduling or batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .lie import coeffs_to_matrices, expm_batch, n_coords, validate_stochastic
+from .errors import NumericalError, ValidationError
+from .lie import coeffs_to_matrices, expm_batch, n_coords
 
 MEASURE_KINDS = ("historical", "jlt", "exponential")
 
@@ -153,7 +153,6 @@ class MatrixPathBundle:
 
     rpaths:       (M, N+1, K, K) matrices on the grid (R_0 = I), or None.
     increments:   (M, N, (K-1)^2) nonnegative per-step generator coordinates.
-    ypaths:       (M, N+1, (K-1)^2) driver paths, or None.
     w_increments: (M, N, (K-1)^2) Brownian increments of the simulating
                   measure, or None.
     """
@@ -166,9 +165,7 @@ class MatrixPathBundle:
     m: int
     increments: np.ndarray
     rpaths: np.ndarray | None = None
-    ypaths: np.ndarray | None = None
     w_increments: np.ndarray | None = None
-    traj_offset: int = 0
 
     def require_rpaths(self) -> np.ndarray:
         if self.rpaths is None:
@@ -192,62 +189,89 @@ def draw_noise(k: int, grid: TimeGrid, m: int, seed: int,
     return z
 
 
-def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                   m: int, seed: int, noise: np.ndarray | None = None,
-                   store_rpaths: bool = True, store_y: bool = True,
-                   store_w: bool = True, traj_offset: int = 0) -> MatrixPathBundle:
-    """Group-preserving Euler simulation of M rating-matrix trajectories.
-
-    Per step: Y advances by an Euler step with the measure-shifted drift
-    b + sigma * kappa; the generator increment uses the left endpoint,
-    dA = |Y_k|^a dt; the matrix advances by R_{k+1} = R_k exp(dA).
-    """
+def _noise(k: int, grid: TimeGrid, m: int, seed: int, noise: np.ndarray | None,
+           traj_offset: int = 0) -> np.ndarray:
+    """The given noise, shape-checked, or a fresh draw for trajectories
+    traj_offset .. traj_offset + m - 1."""
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    k = params.k
-    nc = n_coords(k)
-    n = grid.steps
+    if noise is None:
+        return draw_noise(k, grid, m, seed, traj_offset)
+    noise = np.asarray(noise, dtype=float)
+    shape = (m, grid.steps, n_coords(k))
+    if noise.shape != shape:
+        raise ValidationError(f"noise must have shape {shape}, got {noise.shape}")
+    return noise
+
+
+def _increments(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
+                noise: np.ndarray) -> np.ndarray:
+    """Generator increments dA_k = |Y_k|^a dt, shape (M, N, ncoord).
+
+    Y advances by an Euler step with the measure-shifted drift
+    b + sigma * kappa; each increment uses the step's left endpoint.
+    """
     dt = grid.dt
     sqdt = np.sqrt(dt)
+    drift = params.b + params.sigma * kappa_from_h(measure, params.k)
+    y = np.broadcast_to(params.y0, (noise.shape[0], noise.shape[2])).copy()
+    increments = np.empty(noise.shape)
+    for step in range(grid.steps):
+        increments[:, step] = np.abs(y) ** params.a * dt
+        y = y + drift * dt + params.sigma * sqdt * noise[:, step]
+    return increments
 
-    if noise is None:
-        noise = draw_noise(k, grid, m, seed, traj_offset)
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (m, n, nc):
-            raise ValidationError(f"noise must have shape ({m},{n},{nc}), got {noise.shape}")
 
-    kappa = kappa_from_h(measure, k)
-    drift = params.b + params.sigma * kappa
+def _products(increments: np.ndarray, k: int,
+              rpaths: np.ndarray | None = None) -> np.ndarray:
+    """Terminal matrices of R_{k+1} = R_k exp(dA_k), R_0 = I; shape (M, K, K).
 
-    y = np.broadcast_to(params.y0, (m, nc)).copy()
+    When rpaths (M, N+1, K, K) is given, every R_k is written into it.
+    """
+    m, n, _ = increments.shape
     r = np.broadcast_to(np.eye(k), (m, k, k)).copy()
-
-    increments = np.empty((m, n, nc))
-    rpaths = np.empty((m, n + 1, k, k)) if store_rpaths else None
-    ypaths = np.empty((m, n + 1, nc)) if store_y else None
-    w_inc = noise * sqdt if store_w else None
     if rpaths is not None:
         rpaths[:, 0] = r
-    if ypaths is not None:
-        ypaths[:, 0] = y
-
     for step in range(n):
-        da = np.abs(y) ** params.a * dt
-        increments[:, step] = da
-        r = r @ expm_batch(coeffs_to_matrices(da, k))
+        r = r @ expm_batch(coeffs_to_matrices(increments[:, step], k))
         r[:, -1, :] = 0.0            # keep the absorbing row exact
         r[:, -1, -1] = 1.0
-        y = y + drift * dt + params.sigma * sqdt * noise[:, step]
         if rpaths is not None:
             rpaths[:, step + 1] = r
-        if ypaths is not None:
-            ypaths[:, step + 1] = y
+    return r
 
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise NumericalError(f"{bad} non-finite {what}: the parameters drive "
+                             "the simulation out of floating-point range")
+
+
+def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
+                   m: int, seed: int, noise: np.ndarray | None = None,
+                   store_rpaths: bool = True, store_w: bool = True,
+                   traj_offset: int = 0) -> MatrixPathBundle:
+    """Group-preserving Euler simulation of M rating-matrix trajectories.
+
+    The increments dA = |Y_k|^a dt depend on the driver Y alone, so the
+    group products R_{k+1} = R_k exp(dA) are formed only when the matrix
+    paths are stored.  Raises NumericalError if any increment or stored
+    matrix is non-finite.
+    """
+    k = params.k
+    noise = _noise(k, grid, m, seed, noise, traj_offset)
+    increments = _increments(params, measure, grid, noise)
+    _require_finite(increments, "generator increments")
+    rpaths = None
+    if store_rpaths:
+        rpaths = np.empty((m, grid.steps + 1, k, k))
+        _products(increments, k, rpaths)
+        _require_finite(rpaths, "rating-matrix entries")
     return MatrixPathBundle(
         k=k, grid=grid, params=params, measure=measure, seed=seed, m=m,
-        increments=increments, rpaths=rpaths, ypaths=ypaths,
-        w_increments=w_inc, traj_offset=traj_offset,
+        increments=increments, rpaths=rpaths,
+        w_increments=noise * np.sqrt(grid.dt) if store_w else None,
     )
 
 
@@ -255,48 +279,30 @@ def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                       m: int, seed: int, noise: np.ndarray | None = None) -> np.ndarray:
     """Terminal matrices R_T only, shape (M, K, K); used by calibration loops.
 
-    Identical stepping to simulate_paths, without storing paths.
+    Same stepping as simulate_paths.  Non-finite values are returned, not
+    raised: the calibration loops reject trial points with a NaN residual.
     """
-    k = params.k
-    nc = n_coords(k)
-    n, dt = grid.steps, grid.dt
-    sqdt = np.sqrt(dt)
-    if noise is None:
-        noise = draw_noise(k, grid, m, seed)
-    kappa = kappa_from_h(measure, k)
-    drift = params.b + params.sigma * kappa
-    y = np.broadcast_to(params.y0, (m, nc)).copy()
-    r = np.broadcast_to(np.eye(k), (m, k, k)).copy()
-    for step in range(n):
-        da = np.abs(y) ** params.a * dt
-        r = r @ expm_batch(coeffs_to_matrices(da, k))
-        r[:, -1, :] = 0.0            # keep the absorbing row exact
-        r[:, -1, -1] = 1.0
-        y = y + drift * dt + params.sigma * sqdt * noise[:, step]
-    return r
+    noise = _noise(params.k, grid, m, seed, noise)
+    return _products(_increments(params, measure, grid, noise), params.k)
+
+
+# Trajectories per simulate_paths call in simulate_paths_threaded.
+_CHUNK = 256
 
 
 def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                            m: int, seed: int, threads: int = 1,
-                            chunk: int = 256, **kwargs) -> MatrixPathBundle:
-    """Chunk-parallel wrapper around simulate_paths.
+                            m: int, seed: int, **kwargs) -> MatrixPathBundle:
+    """simulate_paths over fixed chunks of 256 trajectories, concatenated.
 
-    The chunk partition is fixed (independent of `threads`), and every
-    trajectory draws from its own stream, so output is bit-identical for
-    any thread count.
+    Every trajectory draws from its own stream, so the result equals a
+    single simulate_paths call bit for bit.  The chunks run one after
+    another on the calling thread: a pool of 2 workers was slower than 1.
     """
-    if threads <= 1 or m <= chunk:
-        return simulate_paths(params, measure, grid, m, seed, **kwargs)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    offsets = list(range(0, m, chunk))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda off: simulate_paths(params, measure, grid, min(chunk, m - off),
-                                       seed, traj_offset=off, **kwargs),
-            offsets,
-        ))
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    parts = [simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
+                            traj_offset=off, **kwargs)
+             for off in range(0, m, _CHUNK)]
 
     def cat(name):
         vals = [getattr(p, name) for p in parts]
@@ -305,7 +311,7 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
     return MatrixPathBundle(
         k=params.k, grid=grid, params=params, measure=measure, seed=seed, m=m,
         increments=cat("increments"), rpaths=cat("rpaths"),
-        ypaths=cat("ypaths"), w_increments=cat("w_increments"),
+        w_increments=cat("w_increments"),
     )
 
 
@@ -340,13 +346,3 @@ def var_matrix(bundle: MatrixPathBundle, t: float) -> np.ndarray:
         raise ValidationError("variance requires at least 2 trajectories")
     idx = bundle.grid.index_of(t)
     return bundle.require_rpaths()[:, idx].var(axis=0, ddof=1)
-
-
-def check_bundle_stochastic(bundle: MatrixPathBundle, tol: float = 1e-9) -> bool:
-    """True iff every stored matrix passes the stochasticity check at tol."""
-    rp = bundle.require_rpaths()
-    flat = rp.reshape(-1, bundle.k, bundle.k)
-    for mat in flat:
-        if not validate_stochastic(mat, tol).passed:
-            return False
-    return True

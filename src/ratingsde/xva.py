@@ -23,6 +23,9 @@ from .ctmc import piecewise_generators, _ssa_batch
 _PORTFOLIO_STATIC_TAG = 0x90F
 _PORTFOLIO_PATH_TAG = 0x91F
 _XVA_PARTY_TAG = {"B": 0xB0, "C": 0xC0}
+# Trajectories per chunk.  The SSA streams are keyed on the chunk offset,
+# so this value is part of the output contract.
+_XVA_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -307,13 +310,12 @@ class XvaPaths:
 
 def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                        m: int, portfolio: PortfolioSpec, seed: int,
-                       bank_rating: int = 1, cpty_rating: int = 2,
-                       chunk: int = 512) -> XvaPaths:
+                       bank_rating: int = 1, cpty_rating: int = 2) -> XvaPaths:
     """Simulate portfolio values and both parties' rating paths.
 
     Bank and counterparty paths use independent streams but share the
-    same matrix trajectory; the chunk partition is fixed so results do
-    not depend on scheduling.
+    same matrix trajectory.  Trajectories run in fixed chunks of
+    _XVA_CHUNK, and only their generator increments are simulated.
     """
     k = params.k
     n = grid.steps
@@ -326,11 +328,11 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
 
     from .sde import simulate_paths
 
-    for off in range(0, m, chunk):
-        size = min(chunk, m - off)
+    for off in range(0, m, _XVA_CHUNK):
+        size = min(_XVA_CHUNK, m - off)
         bundle = simulate_paths(params, measure, grid, size, seed,
-                                store_rpaths=False, store_y=False,
-                                store_w=False, traj_offset=off)
+                                store_rpaths=False, store_w=False,
+                                traj_offset=off)
         gens = piecewise_generators(bundle)
         gen_index = np.arange(size)
         for party, x, tau, pre, i0 in (

@@ -49,15 +49,14 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bundle_1000(calibrated_params):
     return simulate_paths_threaded(calibrated_params, HISTORICAL, GRID_FINE,
-                                   1000, SEED, threads=4,
-                                   store_y=False, store_w=False)
+                                   1000, SEED, store_w=False)
 
 
 @pytest.fixture(scope="module")
 def nested_p(calibrated_params):
     """One shared 100-trajectory bundle, 1000 SSA paths per initial rating."""
     bundle = simulate_paths(calibrated_params, HISTORICAL, GRID_FINE, 100,
-                            SEED, store_y=False, store_w=False)
+                            SEED, store_w=False)
     return {i0: sample_from_bundle(bundle, 1000, i0, SEED) for i0 in (1, 2, 3)}
 
 
@@ -146,7 +145,7 @@ def test_criterion_06_girsanov_martingale(calibrated_params):
     kappa = kappa_from_h(measure, 4)
     assert np.linalg.norm(kappa) <= 2.0
     bundle = simulate_paths(calibrated_params, measure, grid, m, 106,
-                            store_rpaths=False, store_y=False)
+                            store_rpaths=False)
     dens = girsanov_density(kappa, bundle.w_increments, grid)
     dev = abs(dens.mean() - 1.0)
     tol = 3.0 * dens.std(ddof=1) / np.sqrt(m)
@@ -232,7 +231,7 @@ def test_criterion_10_predefault_distribution(calibrated_params, nested_p,
 
     measure_q = MeasureChange(kind="exponential", h=case2_exponential.h)
     bundle_q = simulate_paths(calibrated_params, measure_q, GRID_FINE, 100,
-                              SEED, store_y=False, store_w=False)
+                              SEED, store_w=False)
     nested_q = {i0: sample_from_bundle(bundle_q, 1000, i0, SEED)
                 for i0 in (1, 2, 3)}
     dist_q = predefault_distribution(

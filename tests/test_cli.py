@@ -159,6 +159,21 @@ class TestCliCommands:
         _, mean = read_rating_csv(workdir / "s" / "mean_t1.csv")
         assert np.abs(mean.sum(axis=1) - 1.0).max() <= 1e-9
 
+    def test_simulate_non_finite_exits_two(self, workdir):
+        # a=400 with b=sigma=3 overflows |Y|^a within the first year
+        labels, a, b, sigma = read_params_csv(workdir / "params.csv")
+        write_params_csv(workdir / "params.csv", labels, np.full_like(a, 400.0),
+                         np.full_like(b, 3.0), np.full_like(sigma, 3.0))
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text()
+                       .replace("grid.steps_per_year = 24", "grid.steps_per_year = 120")
+                       .replace("sim.m = 40", "sim.m = 50"))
+        res = run_cli("simulate", "--config", "run.cfg", "--out", "o",
+                      cwd=workdir)
+        assert res.returncode == 2, res.stderr
+        assert "numerical error" in res.stderr
+        assert list((workdir / "o").glob("mean_t*.csv")) == []
+
     def test_ssa_emits_artifacts(self, workdir):
         res = run_cli("ssa", "--config", "run.cfg", "--out", "g", cwd=workdir)
         assert res.returncode == 0, res.stderr

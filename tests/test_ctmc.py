@@ -6,9 +6,8 @@ from scipy import stats
 from scipy.linalg import expm
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
-                       default_time, empirical_transition, nested_simulate,
-                       piecewise_generators, simulate_paths, simulation_error,
-                       ssa_sample)
+                       empirical_transition, nested_simulate,
+                       piecewise_generators, simulate_paths, simulation_error)
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import expm_batch
 from ratingsde.sde import _stream
@@ -58,28 +57,31 @@ class TestPiecewiseGenerators:
         assert np.allclose(rebuilt, rp, atol=1e-13)
 
 
+def _ssa_one_gen(gen_path, grid, i0, n, rng):
+    """_ssa_batch for n paths that all follow one generator sequence."""
+    return _ssa_batch(gen_path[None], np.zeros(n, dtype=int),
+                      np.full(n, i0), grid, rng)
+
+
 class TestSsaSample:
     def test_absorbing_start_is_constant(self):
-        path = ssa_sample(np.broadcast_to(CONST_GEN, (6, 4, 4)),
-                          TimeGrid(1.0, 6), 4, _stream([0]))
-        assert np.all(path.snapshots == 4)
-        assert path.default_time == 0.0
+        states, dts, _ = _ssa_one_gen(np.broadcast_to(CONST_GEN, (6, 4, 4)),
+                                      TimeGrid(1.0, 6), 4, 1, _stream([0]))
+        assert np.all(states == 4)
+        assert dts[0] == 0.0
 
     def test_zero_generator_holds_state(self):
-        path = ssa_sample(np.zeros((6, 4, 4)), TimeGrid(1.0, 6), 2, _stream([0]))
-        assert np.all(path.snapshots == 2)
-        assert path.events == () and default_time(path) is None
+        states, dts, _ = _ssa_one_gen(np.zeros((6, 4, 4)), TimeGrid(1.0, 6),
+                                      2, 1, _stream([0]))
+        assert np.all(states == 2)
+        assert np.isnan(dts[0])
 
     def test_survival_probability_matches_exponential(self):
         lam, delta = 1.4, 0.5
         gen = np.array([[[-lam, lam], [0.0, 0.0]]])
-        grid = TimeGrid(delta, 1)
         n = 20000
-        stay = 0
-        rng = _stream([5])
-        for _ in range(n):
-            path = ssa_sample(gen, grid, 1, rng)
-            stay += path.snapshots[-1] == 1
+        states, _, _ = _ssa_one_gen(gen, TimeGrid(delta, 1), 1, n, _stream([5]))
+        stay = np.count_nonzero(states[:, -1] == 1)
         p = np.exp(-lam * delta)
         assert abs(stay / n - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
@@ -100,16 +102,11 @@ class TestSsaSample:
         assert chi2 <= stats.chi2.ppf(0.99, df=2)
 
     def test_waiting_times_are_exponential(self):
+        # with K=2 the first jump is the default
         lam = 0.9
         gen = np.array([[[-lam, lam], [0.0, 0.0]]])
-        grid = TimeGrid(60.0, 1)
-        rng = _stream([7])
-        taus = []
-        for _ in range(4000):
-            path = ssa_sample(gen, grid, 1, rng)
-            if path.events:
-                taus.append(path.events[0][0])
-        ks = stats.kstest(taus, "expon", args=(0, 1 / lam))
+        _, dts, _ = _ssa_one_gen(gen, TimeGrid(60.0, 1), 1, 4000, _stream([7]))
+        ks = stats.kstest(dts[~np.isnan(dts)], "expon", args=(0, 1 / lam))
         assert ks.pvalue > 0.01
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ratingsde import (HISTORICAL, MeasureChange, SdeParams, TimeGrid,
-                       ValidationError, default_grid, girsanov_density,
+from ratingsde import (HISTORICAL, MeasureChange, NumericalError, SdeParams,
+                       TimeGrid, ValidationError, default_grid, girsanov_density,
                        kappa_from_h, mean_matrix, simulate_paths,
                        simulate_paths_threaded, var_matrix)
 from ratingsde.sde import draw_noise, simulate_terminal
@@ -89,14 +89,29 @@ class TestSimulatePaths:
         b2 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11)
         assert np.array_equal(b1.require_rpaths(), b2.require_rpaths())
 
-    def test_thread_count_does_not_change_bits(self, calibrated_params):
+    def test_chunked_matches_single_call_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        b1 = simulate_paths_threaded(calibrated_params, HISTORICAL, g, 600, 5,
-                                     threads=1)
-        b8 = simulate_paths_threaded(calibrated_params, HISTORICAL, g, 600, 5,
-                                     threads=8)
-        assert np.array_equal(b1.require_rpaths(), b8.require_rpaths())
-        assert np.array_equal(b1.increments, b8.increments)
+        chunked = simulate_paths_threaded(calibrated_params, HISTORICAL, g,
+                                          600, 5)    # 3 chunks of <= 256
+        single = simulate_paths(calibrated_params, HISTORICAL, g, 600, 5)
+        assert np.array_equal(chunked.require_rpaths(), single.require_rpaths())
+        assert np.array_equal(chunked.increments, single.increments)
+        assert np.array_equal(chunked.w_increments, single.w_increments)
+
+    def test_skipping_products_keeps_increments_bitwise(self, calibrated_params):
+        g = TimeGrid(1.0, 15)
+        full = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5)
+        lean = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5,
+                              store_rpaths=False)
+        assert lean.rpaths is None
+        assert np.array_equal(lean.increments, full.increments)
+        assert np.array_equal(lean.w_increments, full.w_increments)
+
+    def test_non_finite_increments_raise(self):
+        params = flat_params(4, 400.0, 3.0, 3.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            simulate_paths(params, HISTORICAL, TimeGrid(1.0, 120), 5, 0,
+                           store_rpaths=False)
 
     def test_terminal_matches_full_simulation(self, calibrated_params):
         g = TimeGrid(1.0, 15)

@@ -155,8 +155,7 @@ class TestComputeXva:
 def paths(calibrated_params):
     portfolio = PortfolioSpec(n=24, sigma_scale=10.0, seed=3)
     return simulate_xva_paths(calibrated_params, HISTORICAL,
-                              TimeGrid(1.0, 120), 300, portfolio, 17,
-                              chunk=128)
+                              TimeGrid(1.0, 120), 300, portfolio, 17)
 
 
 class TestRegimeOrdering:
@@ -182,12 +181,13 @@ class TestRegimeOrdering:
         r2 = xva_by_regime(paths, {"b": none})["b"]
         assert r1 == r2
 
-    def test_chunk_size_does_not_change_results(self, calibrated_params):
+    def test_multi_chunk_rerun_is_identical(self, calibrated_params):
+        # 600 paths span two chunks of the fixed 512-path partition
         portfolio = PortfolioSpec(seed=3)
-        a = simulate_xva_paths(calibrated_params, HISTORICAL, GRID, 50,
-                               portfolio, 5, chunk=512)
-        b = simulate_xva_paths(calibrated_params, HISTORICAL, GRID, 50,
-                               portfolio, 5, chunk=512)
+        a = simulate_xva_paths(calibrated_params, HISTORICAL, GRID, 600,
+                               portfolio, 5)
+        b = simulate_xva_paths(calibrated_params, HISTORICAL, GRID, 600,
+                               portfolio, 5)
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.xb, b.xb)
         assert np.array_equal(a.tau_c, b.tau_c, equal_nan=True)
