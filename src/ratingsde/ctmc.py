@@ -2,9 +2,13 @@
 
 Each matrix trajectory defines a piecewise-homogeneous CTMC: on grid
 interval k the generator is the step's coordinate increment divided by
-dt.  Rating paths are sampled with the Gillespie algorithm per interval:
-an exponential waiting time at the current state's total rate, then a
-jump destination drawn from the off-diagonal intensities.
+dt.  Rating paths are sampled event by event on the integrated hazard
+(the next-reaction method for time-dependent rates): each jump draws an
+Exp(1) budget, finds the time at which the current state's cumulative
+hazard exceeds it, then draws the destination from the off-diagonal
+intensities of that interval.  Event e of path p uses the counter-based
+draws for (seed, stream, p, e), so a path's draws do not depend on the
+batch it is sampled in.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .lie import coeffs_to_matrices
 from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
-                  simulate_paths, _stream)
+                  simulate_paths, _counter_uniforms, _philox_key)
 
 _SSA_STREAM_TAG = 0x55A
 
@@ -32,64 +36,69 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
     return coeffs_to_matrices(bundle.increments / bundle.grid.dt, bundle.k)
 
 
-def _open_unit(u: np.ndarray | float):
-    """Map draws from [0,1) into (0,1) so log() stays finite."""
-    return np.maximum(u, np.nextafter(0.0, 1.0))
-
-
 def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
-               grid: TimeGrid, rng: np.random.Generator):
-    """Vectorized SSA across paths with per-path generator sequences.
+               grid: TimeGrid, key: np.ndarray, path_offset: int = 0):
+    """Event-driven SSA across paths with per-path generator sequences.
 
     gens: (G, N, K, K); gen_index: (P,) path -> generator; i0: (P,) 1-based.
+    Event e of path p draws from the Philox counter (path_offset + p, e)
+    under `key`, so a path's draws do not depend on the batch it runs in.
     Returns (states (P, N+1) int8, default_time (P,), predefault (P,) int8).
     """
     p = gen_index.size
-    k = gens.shape[-1]
-    n = grid.steps
+    g, n, k = gens.shape[:3]
     times = grid.times
+    rates = -np.diagonal(gens, axis1=2, axis2=3)             # (G, N, K)
+    hazard = np.zeros((g, k, n + 1))                         # H[g, s, j]
+    np.cumsum(rates.transpose(0, 2, 1) * grid.dt, axis=2, out=hazard[:, :, 1:])
+
     cur = np.asarray(i0, dtype=np.int64) - 1
-    states = np.empty((p, n + 1), dtype=np.int8)
+    states = np.zeros((p, n + 1), dtype=np.int8)   # jump deltas, summed below
     states[:, 0] = cur + 1
     def_time = np.full(p, np.nan)
     predef = np.zeros(p, dtype=np.int8)
     def_time[cur == k - 1] = 0.0
 
-    arange_p = np.arange(p)
-    for step in range(n):
-        t_end = times[step + 1]
-        t_now = np.full(p, times[step])
-        while True:
-            rates = -gens[gen_index, step, cur, cur]
-            active = (rates > 0) & (t_now < t_end)
-            if not active.any():
-                break
-            r1 = _open_unit(rng.random(p))
-            r2 = _open_unit(rng.random(p))
-            tau = -np.log(r1) / np.where(rates > 0, rates, 1.0)
-            jump = active & (t_now + tau < t_end)
-            t_now[active & ~jump] = t_end
-            jidx = np.nonzero(jump)[0]
-            if jidx.size == 0:
-                continue
-            t_jump = t_now[jidx] + tau[jidx]
-            rows = gens[gen_index[jidx], step, cur[jidx], :].copy()
-            rows[np.arange(jidx.size), cur[jidx]] = 0.0
-            cum = np.cumsum(rows, axis=1)
-            thr = rates[jidx] * r2[jidx]
-            dest = np.argmax(cum > thr[:, None], axis=1)
-            bad = cum[:, -1] <= thr       # summation round-off guard
-            if bad.any():
-                last_pos = (k - 1) - np.argmax(rows[:, ::-1] > 0, axis=1)
-                dest = np.where(bad, last_pos, dest)
-            to_abs = dest == k - 1
-            dj = jidx[to_abs]
-            predef[dj] = cur[dj] + 1
-            def_time[dj] = t_jump[to_abs]
-            cur[jidx] = dest
-            t_now[jidx] = t_jump
-        states[:, step + 1] = cur + 1
-    del arange_p
+    # Live paths: state s, interval j and time t of the last event, and
+    # h, the integrated hazard H_s at t.
+    live = np.nonzero(cur != k - 1)[0]
+    s = cur[live]
+    j = np.zeros(live.size, dtype=np.int64)
+    t = np.zeros(live.size)
+    h = np.zeros(live.size)
+    event = 0
+    while live.size:
+        u_wait, u_dest, _, _ = _counter_uniforms(key, path_offset + live, event)
+        gl = gen_index[live]
+        target = h - np.log(u_wait)
+        # first grid index i > j with H_s[i] >= target, or n + 1 if none
+        lo, hi = j, np.full(live.size, n + 1)
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            reached = hazard[gl, s, mid] >= target
+            hi = np.where(reached, mid, hi)
+            lo = np.where(reached, lo, mid)
+        jumped = np.nonzero(hi <= n)[0]
+        live, gl, s, t = live[jumped], gl[jumped], s[jumped], t[jumped]
+        target, u_dest = target[jumped], u_dest[jumped]
+        j = hi[jumped] - 1
+        tau = times[j] + (target - hazard[gl, s, j]) / rates[gl, j, s]
+        tau = np.clip(tau, t, times[j + 1])       # round-off at the ends
+        rows = gens[gl, j, s, :].copy()
+        rows[np.arange(live.size), s] = 0.0
+        cum = np.cumsum(rows, axis=1)
+        # u_dest < 1, so the threshold lies below the row's own total
+        dest = np.argmax(cum > (u_dest * cum[:, -1])[:, None], axis=1)
+        states[live, j + 1] += (dest - s).astype(np.int8)
+        absorbed = dest == k - 1
+        def_time[live[absorbed]] = tau[absorbed]
+        predef[live[absorbed]] = s[absorbed] + 1
+        go_on = ~absorbed
+        live, gl, s, j, t = (live[go_on], gl[go_on], dest[go_on], j[go_on],
+                             tau[go_on])
+        h = hazard[gl, s, j] + rates[gl, j, s] * (t - times[j])
+        event += 1
+    np.cumsum(states, axis=1, dtype=np.int8, out=states)
     return states, def_time, predef
 
 
@@ -121,9 +130,8 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
     m1 = bundle.m
     gen_index = np.repeat(np.arange(m1), m2)
     i0_arr = np.full(m1 * m2, i0)
-    # the constant 0 keeps the stream key, and so the draws, of earlier versions
-    rng = _stream([seed, _SSA_STREAM_TAG, 0, i0])
-    states, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, rng)
+    key = _philox_key([seed, _SSA_STREAM_TAG, i0])
+    states, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, key)
     return NestedPaths(
         i0=i0, m1=m1, m2=m2, grid=bundle.grid, seed=seed,
         states=states.reshape(m1, m2, -1),

@@ -11,7 +11,9 @@ b_i -> b_i + sigma_i * kappa_i with kappa derived from a per-rating vector h.
 
 Reproducibility contract: the normal draw for (trajectory, coordinate,
 step) comes from a counter-based stream keyed on (seed, trajectory index,
-coordinate index), so results do not depend on scheduling or batch size.
+coordinate index), and the rating-path draws for (path, event number) come
+from a Philox4x32-10 counter under a key derived from (seed, stream), so
+results do not depend on scheduling or batch size.
 """
 
 from __future__ import annotations
@@ -177,6 +179,49 @@ def _stream(seed_words: list[int]) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_words)))
 
 
+def _philox_key(seed_words: list[int]) -> np.ndarray:
+    """64-bit Philox4x32 key (two uint32 words) for one stream."""
+    return np.random.SeedSequence(seed_words).generate_state(2, np.uint32)
+
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
+
+
+def _philox4x32(counter, key) -> tuple[np.ndarray, ...]:
+    """Philox4x32-10 (Salmon et al., SC'11) on a batch of counters.
+
+    counter: four arrays of 32-bit words, key: two 32-bit words.  Returns
+    the four output words as uint64 arrays holding 32-bit values.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = (np.uint64(w) for w in key)
+    shift = np.uint64(32)
+    for rnd in range(10):
+        if rnd:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK32
+            k1 = (k1 + _PHILOX_W[1]) & _MASK32
+        p0 = _PHILOX_M[0] * c0
+        p1 = _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = ((p1 >> shift) ^ c1 ^ k0, p1 & _MASK32,
+                          (p0 >> shift) ^ c3 ^ k1, p0 & _MASK32)
+    return c0, c1, c2, c3
+
+
+def _counter_uniforms(key, index: np.ndarray,
+                      event: int | np.ndarray) -> tuple[np.ndarray, ...]:
+    """Four uniforms on the open interval (0, 1) per (index, event) pair.
+
+    The counter is (index low word, index high word, event, 0); each
+    32-bit output x maps to (x + 0.5) / 2**32, which is never 0 or 1.
+    """
+    index = np.asarray(index, dtype=np.uint64)
+    counter = (index & _MASK32, index >> np.uint64(32),
+               np.asarray(event, dtype=np.uint64), np.zeros(index.shape, np.uint64))
+    return tuple((x + 0.5) * 2.0 ** -32 for x in _philox4x32(counter, key))
+
+
 def draw_noise(k: int, grid: TimeGrid, m: int, seed: int,
                traj_offset: int = 0) -> np.ndarray:
     """Standard-normal tensor (M, N, ncoord); one stream per (trajectory, coordinate)."""
@@ -216,9 +261,11 @@ def _increments(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     drift = params.b + params.sigma * kappa_from_h(measure, params.k)
     y = np.broadcast_to(params.y0, (noise.shape[0], noise.shape[2])).copy()
     increments = np.empty(noise.shape)
-    for step in range(grid.steps):
-        increments[:, step] = np.abs(y) ** params.a * dt
-        y = y + drift * dt + params.sigma * sqdt * noise[:, step]
+    # overflow becomes inf, which the callers' finite checks report
+    with np.errstate(over="ignore"):
+        for step in range(grid.steps):
+            increments[:, step] = np.abs(y) ** params.a * dt
+            y = y + drift * dt + params.sigma * sqdt * noise[:, step]
     return increments
 
 

@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .sde import MatrixPathBundle, MeasureChange, SdeParams, TimeGrid, _stream
+from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
+                  _philox_key, _stream)
 from .ctmc import piecewise_generators, _ssa_batch
 
 _PORTFOLIO_STATIC_TAG = 0x90F
 _PORTFOLIO_PATH_TAG = 0x91F
 _XVA_PARTY_TAG = {"B": 0xB0, "C": 0xC0}
-# Trajectories per chunk.  The SSA streams are keyed on the chunk offset,
-# so this value is part of the output contract.
+# Trajectories per chunk; bounds memory only, since every draw is keyed on
+# the global trajectory index.
 _XVA_CHUNK = 512
 
 
@@ -314,8 +315,9 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
     """Simulate portfolio values and both parties' rating paths.
 
     Bank and counterparty paths use independent streams but share the
-    same matrix trajectory.  Trajectories run in fixed chunks of
-    _XVA_CHUNK, and only their generator increments are simulated.
+    same matrix trajectory.  Only the generator increments are simulated,
+    in chunks of _XVA_CHUNK trajectories; the chunks bound memory only, as
+    each party's SSA draws are keyed on the global trajectory index.
     """
     k = params.k
     n = grid.steps
@@ -328,6 +330,7 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
 
     from .sde import simulate_paths
 
+    keys = {party: _philox_key([seed, tag]) for party, tag in _XVA_PARTY_TAG.items()}
     for off in range(0, m, _XVA_CHUNK):
         size = min(_XVA_CHUNK, m - off)
         bundle = simulate_paths(params, measure, grid, size, seed,
@@ -339,9 +342,8 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
             ("B", xb, tau_b, pre_b, bank_rating),
             ("C", xc, tau_c, pre_c, cpty_rating),
         ):
-            rng = _stream([seed, _XVA_PARTY_TAG[party], off])
-            states, dts, pds = _ssa_batch(gens, gen_index,
-                                          np.full(size, i0), grid, rng)
+            states, dts, pds = _ssa_batch(gens, gen_index, np.full(size, i0),
+                                          grid, keys[party], path_offset=off)
             x[off:off + size] = states
             tau[off:off + size] = dts
             pre[off:off + size] = pds

@@ -27,7 +27,7 @@ from ratingsde.calibrate import HistCalibrationSpec
 from ratingsde.ctmc import _ssa_batch
 from ratingsde.datasets import (cohort_1y, data_path, pd_scenario,
                                 reconstructed_1y)
-from ratingsde.sde import _stream
+from ratingsde.sde import _philox_key, _stream
 
 from conftest import (ADJUSTED_PUBLISHED, DISTANCE_PUBLISHED, PRINT_TOL,
                       run_cli)
@@ -168,7 +168,7 @@ def test_criterion_07_ssa_oracle(nested_p):
     worst_z = 0.0
     for i0 in (1, 2, 3):
         states, _, _ = _ssa_batch(gen[None, None], np.zeros(n, dtype=int),
-                                  np.full(n, i0), grid, _stream([107, i0]))
+                                  np.full(n, i0), grid, _philox_key([107, i0]))
         freq = np.bincount(states[:, -1] - 1, minlength=4) / n
         se = np.sqrt(target[i0 - 1] * (1 - target[i0 - 1]) / n)
         z = np.abs(freq - target[i0 - 1]) / np.maximum(se, 1e-12)

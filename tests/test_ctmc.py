@@ -10,7 +10,7 @@ from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        piecewise_generators, simulate_paths, simulation_error)
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import expm_batch
-from ratingsde.sde import _stream
+from ratingsde.sde import _philox_key
 
 
 def flat_params(k, a, b, sigma):
@@ -57,22 +57,22 @@ class TestPiecewiseGenerators:
         assert np.allclose(rebuilt, rp, atol=1e-13)
 
 
-def _ssa_one_gen(gen_path, grid, i0, n, rng):
+def _ssa_one_gen(gen_path, grid, i0, n, key):
     """_ssa_batch for n paths that all follow one generator sequence."""
     return _ssa_batch(gen_path[None], np.zeros(n, dtype=int),
-                      np.full(n, i0), grid, rng)
+                      np.full(n, i0), grid, key)
 
 
 class TestSsaSample:
     def test_absorbing_start_is_constant(self):
         states, dts, _ = _ssa_one_gen(np.broadcast_to(CONST_GEN, (6, 4, 4)),
-                                      TimeGrid(1.0, 6), 4, 1, _stream([0]))
+                                      TimeGrid(1.0, 6), 4, 1, _philox_key([0]))
         assert np.all(states == 4)
         assert dts[0] == 0.0
 
     def test_zero_generator_holds_state(self):
         states, dts, _ = _ssa_one_gen(np.zeros((6, 4, 4)), TimeGrid(1.0, 6),
-                                      2, 1, _stream([0]))
+                                      2, 1, _philox_key([0]))
         assert np.all(states == 2)
         assert np.isnan(dts[0])
 
@@ -80,7 +80,7 @@ class TestSsaSample:
         lam, delta = 1.4, 0.5
         gen = np.array([[[-lam, lam], [0.0, 0.0]]])
         n = 20000
-        states, _, _ = _ssa_one_gen(gen, TimeGrid(delta, 1), 1, n, _stream([5]))
+        states, _, _ = _ssa_one_gen(gen, TimeGrid(delta, 1), 1, n, _philox_key([5]))
         stay = np.count_nonzero(states[:, -1] == 1)
         p = np.exp(-lam * delta)
         assert abs(stay / n - p) <= 3 * np.sqrt(p * (1 - p) / n)
@@ -93,7 +93,7 @@ class TestSsaSample:
         gen[0] = CONST_GEN[0]
         n = 20000
         states, _, _ = _ssa_batch(gen[None, None], np.zeros(n, dtype=int),
-                                  np.ones(n, dtype=int), grid, _stream([6]))
+                                  np.ones(n, dtype=int), grid, _philox_key([6]))
         first = states[:, -1]
         jumped = first != 1
         freq = np.bincount(first[jumped] - 1, minlength=4)[1:]
@@ -105,7 +105,7 @@ class TestSsaSample:
         # with K=2 the first jump is the default
         lam = 0.9
         gen = np.array([[[-lam, lam], [0.0, 0.0]]])
-        _, dts, _ = _ssa_one_gen(gen, TimeGrid(60.0, 1), 1, 4000, _stream([7]))
+        _, dts, _ = _ssa_one_gen(gen, TimeGrid(60.0, 1), 1, 4000, _philox_key([7]))
         ks = stats.kstest(dts[~np.isnan(dts)], "expon", args=(0, 1 / lam))
         assert ks.pvalue > 0.01
 
@@ -116,7 +116,7 @@ class TestSsaBatch:
         n = 50000
         states, _, _ = _ssa_batch(CONST_GEN[None, None],
                                   np.zeros(n, dtype=int),
-                                  np.full(n, 2), grid, _stream([8]))
+                                  np.full(n, 2), grid, _philox_key([8]))
         freq = np.bincount(states[:, -1] - 1, minlength=4) / n
         target = expm(CONST_GEN)[1]
         se = np.sqrt(target * (1 - target) / n)
@@ -126,13 +126,55 @@ class TestSsaBatch:
         grid = TimeGrid(1.0, 4)
         states, dts, pds = _ssa_batch(CONST_GEN[None, None].repeat(4, axis=1),
                                       np.zeros(2000, dtype=int),
-                                      np.full(2000, 3), grid, _stream([9]))
+                                      np.full(2000, 3), grid, _philox_key([9]))
         defaulted = ~np.isnan(dts)
         assert defaulted.any()
         assert np.all(dts[defaulted] >= 0) and np.all(dts[defaulted] < 1.0)
         assert np.all(pds[defaulted] >= 1) and np.all(pds[defaulted] <= 3)
         assert np.all(states[defaulted, -1] == 4)
         assert np.all(pds[~defaulted] == 0)
+
+    def test_time_varying_generator_matches_step_products(self):
+        # 12 intervals alternating two generators of different rates and
+        # jump directions: the occupancy at T follows the product of the
+        # per-interval transition matrices.
+        grid = TimeGrid(1.0, 12)
+        other = np.array([[-1.8, 0.1, 1.5, 0.2],
+                          [1.2, -1.6, 0.1, 0.3],
+                          [0.9, 0.1, -1.2, 0.2],
+                          [0.0, 0.0, 0.0, 0.0]])
+        scale = 0.5 + 0.25 * np.arange(12)
+        gens = np.where((np.arange(12) % 2 == 0)[:, None, None],
+                        CONST_GEN, other) * scale[:, None, None]
+        n = 50000
+        states, _, _ = _ssa_batch(gens[None], np.zeros(n, dtype=int),
+                                  np.full(n, 1), grid, _philox_key([10]))
+        target = np.eye(4)
+        for g in gens:
+            target = target @ expm(g * grid.dt)
+        freq = np.bincount(states[:, -1] - 1, minlength=4) / n
+        se = np.sqrt(target[0] * (1 - target[0]) / n)
+        assert np.all(np.abs(freq - target[0]) <= 3 * se + 1e-12)
+
+    def test_paths_are_independent_of_the_batch(self, calibrated_params):
+        # path p draws from counter (path_offset + p, event): two halves
+        # with matching offsets equal one call bit for bit
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 24), 4, 3, store_rpaths=False)
+        gens = piecewise_generators(bundle) * 50.0   # several jumps per path
+        p = 2000
+        gen_index = np.arange(p) % 4
+        i0 = 1 + np.arange(p) % 3
+        key = _philox_key([11])
+        whole = _ssa_batch(gens, gen_index, i0, bundle.grid, key)
+        half = p // 2
+        parts = [_ssa_batch(gens, gen_index[sl], i0[sl], bundle.grid, key,
+                            path_offset=sl.start)
+                 for sl in (slice(0, half), slice(half, p))]
+        jumps = np.count_nonzero(np.diff(whole[0], axis=1), axis=1)
+        assert np.count_nonzero(jumps >= 2) > p // 10
+        for w, a, b in zip(whole, *parts):
+            assert np.array_equal(w, np.concatenate([a, b]), equal_nan=True)
 
 
 class TestNestedSimulate:

@@ -7,7 +7,7 @@ from ratingsde import (HISTORICAL, MeasureChange, NumericalError, SdeParams,
                        TimeGrid, ValidationError, default_grid, girsanov_density,
                        kappa_from_h, mean_matrix, simulate_paths,
                        simulate_paths_threaded, var_matrix)
-from ratingsde.sde import draw_noise, simulate_terminal
+from ratingsde.sde import _philox4x32, draw_noise, simulate_terminal
 
 
 def flat_params(k, a, b, sigma):
@@ -190,6 +190,20 @@ class TestRngContract:
         z_all = draw_noise(4, g, 3, 42)
         z_tail = draw_noise(4, g, 2, 42, traj_offset=1)
         assert np.array_equal(z_all[1:], z_tail)
+
+    @pytest.mark.parametrize("counter, key, expected", [
+        ((0, 0, 0, 0), (0, 0),
+         (0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8)),
+        ((0xffffffff,) * 4, (0xffffffff,) * 2,
+         (0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd)),
+        ((0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344),
+         (0xa4093822, 0x299f31d0),
+         (0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1)),
+    ])
+    def test_philox_known_answers(self, counter, key, expected):
+        # Random123 known-answer vectors for Philox4x32-10
+        out = _philox4x32([np.array([c]) for c in counter], key)
+        assert tuple(int(x[0]) for x in out) == expected
 
 
 def test_default_grid_steps():

@@ -8,6 +8,7 @@ from ratingsde import (HISTORICAL, CsaTerms, PortfolioSpec, TimeGrid,
                        perfect_terms, predefault_distribution,
                        simulate_portfolio, simulate_xva_paths, threshold_of,
                        uncollateralized_terms, xva_by_regime)
+from ratingsde import xva
 
 
 GRID = TimeGrid(1.0, 12)
@@ -191,6 +192,20 @@ class TestRegimeOrdering:
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.xb, b.xb)
         assert np.array_equal(a.tau_c, b.tau_c, equal_nan=True)
+
+    def test_chunk_size_does_not_change_results(self, calibrated_params,
+                                                monkeypatch):
+        # every SSA draw is keyed on the global trajectory index
+        portfolio = PortfolioSpec(seed=3)
+        runs = []
+        for chunk in (128, 512):
+            monkeypatch.setattr(xva, "_XVA_CHUNK", chunk)
+            runs.append(simulate_xva_paths(calibrated_params, HISTORICAL,
+                                           GRID, 600, portfolio, 5))
+        for name in ("xb", "xc", "tau_b", "tau_c", "predefault_b",
+                     "predefault_c"):
+            a, b = (getattr(r, name) for r in runs)
+            assert np.array_equal(a, b, equal_nan=True), name
 
 
 class TestPredefaultDistribution:
