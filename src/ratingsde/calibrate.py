@@ -21,7 +21,8 @@ from scipy.optimize import least_squares
 from .errors import ValidationError
 from .lie import basis_index_map, n_coords
 from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
-                  default_grid, draw_noise, simulate_terminal, HISTORICAL)
+                  default_grid, draw_noise, simulate_terminal, HISTORICAL,
+                  _require_finite)
 
 DEFAULT_BOUND_HI = 3.0
 DEFAULT_START = (1.5, 0.1, 0.05)   # (a, b, sigma) uniform starting point
@@ -115,10 +116,12 @@ def _levenberg_marquardt(fun, x0, lo, hi, max_iter=60, sse_tol=1e-14,
     Trial points are clipped to the box; the finite-difference step flips
     direction at the upper bound.  Stops when the SSE falls below sse_tol,
     the step below step_tol, or an accepted step improves the SSE by less
-    than the relative factor rel_tol.
+    than the relative factor rel_tol.  Raises NumericalError if the
+    residual at the (clipped) start point is not finite.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = fun(x)
+    _require_finite(r, "residuals at the start point")
     sse = float(r @ r)
     lam = LM_LAMBDA0
     n = x.size
@@ -228,7 +231,8 @@ def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
     """Fit the K-1 free entries of h by bounded least squares (trust region).
 
     The SDE parameters stay fixed at their historical values; only the
-    drift shift varies.
+    drift shift varies.  Raises NumericalError if the residual at the
+    start point is not finite.
     """
     if kind not in ("jlt", "exponential"):
         raise ValidationError(f"calibratable kinds are 'jlt' and 'exponential', got {kind!r}")
@@ -239,6 +243,8 @@ def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
         start = np.ones(k - 1)
     if bounds is None:
         bounds = (1e-6, 1e4) if kind == "exponential" else (-1e4, 1e4)
+    _require_finite(rn_residual(start, params, kind, targets, grid, m, seed,
+                                noise=noise), "residuals at the start point")
 
     res = least_squares(
         rn_residual, np.asarray(start, dtype=float),

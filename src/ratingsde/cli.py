@@ -7,7 +7,8 @@ command runs on one thread, since 2 workers were slower than 1).  Exit
 codes: 0 success, 1 validation, 2 numerical failure, 3 I/O.
 
 All outputs are deterministic functions of (config, seed); wall-clock
-timings go to stderr only so reruns are byte-identical.
+timings and non-convergence warnings go to stderr only so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .ctmc import empirical_transition, sample_from_bundle, simulation_error
 from .errors import NumericalError, RatingSdeError, ValidationError
 from .matio import (read_params_csv, read_pd_csv, read_rating_csv,
                     write_params_csv, write_rating_csv)
-from .sde import simulate_paths_threaded
+from .sde import mean_matrix, simulate_paths_threaded, var_matrix
 from .svgplot import (entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
 from .xva import (perfect_terms, predefault_distribution, simulate_xva_paths,
@@ -168,6 +169,13 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
+def _warn_unconverged(command: str, result) -> None:
+    if not result.converged:
+        print(f"ratingsde: warning: {command} did not converge "
+              f"(iterations {result.iterations}, sse {result.sse:.3g})",
+              file=sys.stderr)
+
+
 def _cmd_calibrate_hist(args) -> int:
     cfg, out = _load(args)
     rec, adj = _read_targets(cfg)
@@ -179,6 +187,7 @@ def _cmd_calibrate_hist(args) -> int:
         bound_hi=cfg.get_float("hist.bound_hi", 3.0),
     )
     result = calibrate_historical(spec, max_iter=cfg.get_int("hist.max_iter", 60))
+    _warn_unconverged("calibrate-hist", result)
     write_params_csv(out / "params.csv", coordinate_labels(cfg.k),
                      result.params.a, result.params.b, result.params.sigma)
     _write_summary(out, "calibrate-hist", cfg, ["params.csv"], extra={
@@ -199,6 +208,7 @@ def _cmd_calibrate_rn(args) -> int:
     result = calibrate_risk_neutral(
         params, kind, PdTargets(pds), grid=cfg.grid(),
         m=cfg.get_int("rn.m", 1000), seed=cfg.seed())
+    _warn_unconverged("calibrate-rn", result)
     lines = ["rating,h"]
     lines += [f"{lab},{format(hv, '.17g')}" for lab, hv in zip(cfg.labels(), result.h)]
     (out / "rn_result.csv").write_text("\n".join(lines) + "\n")
@@ -226,10 +236,9 @@ def _cmd_simulate(args) -> int:
     rp = bundle.require_rpaths()
     outputs = []
     for t in cfg.checkpoints():
-        idx = grid.index_of(float(t))
         tag = _fmt_time(float(t))
-        for stem, entries in (("mean", rp[:, idx].mean(axis=0)),
-                              ("var", rp[:, idx].var(axis=0, ddof=1))):
+        for stem, entries in (("mean", mean_matrix(bundle, float(t))),
+                              ("var", var_matrix(bundle, float(t)))):
             name = f"{stem}_t{tag}.csv"
             write_rating_csv(out / name, labels, entries)
             outputs.append(name)

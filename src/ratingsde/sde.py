@@ -9,11 +9,14 @@ R_{k+1} = R_k exp(dA_k), which keeps every step row-stochastic with an
 absorbing last state.  A measure change is a constant drift shift
 b_i -> b_i + sigma_i * kappa_i with kappa derived from a per-rating vector h.
 
-Reproducibility contract: the normal draw for (trajectory, coordinate,
-step) comes from a counter-based stream keyed on (seed, trajectory index,
-coordinate index), and the rating-path draws for (path, event number) come
-from a Philox4x32-10 counter under a key derived from (seed, stream), so
-results do not depend on scheduling or batch size.
+Reproducibility contract: every random draw of the package comes from one
+counter-based generator, Philox4x32-10 (Salmon et al., SC'11), evaluated
+on whole arrays of counters.  A key derived from (seed, stream tag) picks
+the stream, and the counter holds the draw's own index: (trajectory,
+coordinate) and a block of four steps for the matrix noise, (path, event
+number) for the rating paths, (path, block of steps) for the portfolio.
+Each draw is therefore a pure function of its index, and results do not
+depend on the batch size, the chunking or the number of steps drawn.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import NumericalError, ValidationError
 from .lie import coeffs_to_matrices, expm_batch, n_coords
@@ -175,10 +179,6 @@ class MatrixPathBundle:
         return self.rpaths
 
 
-def _stream(seed_words: list[int]) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_words)))
-
-
 def _philox_key(seed_words: list[int]) -> np.ndarray:
     """64-bit Philox4x32 key (two uint32 words) for one stream."""
     return np.random.SeedSequence(seed_words).generate_state(2, np.uint32)
@@ -222,16 +222,37 @@ def _counter_uniforms(key, index: np.ndarray,
     return tuple((x + 0.5) * 2.0 ** -32 for x in _philox4x32(counter, key))
 
 
+def _counter_normals(key, index: np.ndarray, steps: int) -> np.ndarray:
+    """Standard normals z[p, j, c] for stream index[p, c] and step j.
+
+    index: (P, C) counter indices; returns (P, steps, C).  Step j is word
+    j % 4 of the counter (index, j // 4) mapped through ndtri, so a step's
+    draw does not depend on how many steps are drawn.
+    """
+    p, c = index.shape
+    z = np.empty((p, steps, c))
+    u = _counter_uniforms(key, index[:, None, :],
+                          np.arange(-(-steps // 4))[:, None])
+    for word in range(4):
+        ndtri(u[word][:, :len(range(word, steps, 4))], out=z[:, word::4])
+    return z
+
+
+_NOISE_TAG = 0x5DE
+
+
 def draw_noise(k: int, grid: TimeGrid, m: int, seed: int,
                traj_offset: int = 0) -> np.ndarray:
-    """Standard-normal tensor (M, N, ncoord); one stream per (trajectory, coordinate)."""
+    """Standard-normal tensor (M, N, ncoord) for trajectories
+    traj_offset .. traj_offset + m - 1, on counter index
+    (traj_offset + t) * ncoord + c.
+
+    The uniforms have 32-bit resolution, which caps |z| at 6.34; a true
+    standard normal exceeds that with probability 2.3e-10.
+    """
     nc = n_coords(k)
-    z = np.empty((m, grid.steps, nc))
-    for traj in range(m):
-        for coord in range(nc):
-            rng = _stream([seed, traj_offset + traj, coord])
-            z[traj, :, coord] = rng.standard_normal(grid.steps)
-    return z
+    index = (traj_offset + np.arange(m))[:, None] * nc + np.arange(nc)
+    return _counter_normals(_philox_key([seed, _NOISE_TAG]), index, grid.steps)
 
 
 def _noise(k: int, grid: TimeGrid, m: int, seed: int, noise: np.ndarray | None,
@@ -341,9 +362,10 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
                             m: int, seed: int, **kwargs) -> MatrixPathBundle:
     """simulate_paths over fixed chunks of 256 trajectories, concatenated.
 
-    Every trajectory draws from its own stream, so the result equals a
-    single simulate_paths call bit for bit.  The chunks run one after
-    another on the calling thread: a pool of 2 workers was slower than 1.
+    Every draw is keyed on its global trajectory index, so the result
+    equals a single simulate_paths call bit for bit.  The chunks run one
+    after another on the calling thread: a pool of 2 workers was slower
+    than 1.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ValidationError
 from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
-                  _philox_key, _stream)
+                  _counter_normals, _counter_uniforms, _philox_key)
 from .ctmc import piecewise_generators, _ssa_batch
 
 _PORTFOLIO_STATIC_TAG = 0x90F
@@ -51,17 +52,18 @@ class PortfolioSpec:
             raise ValidationError("sigma_scale must be nonnegative")
 
     def draw_components(self) -> tuple[np.ndarray, np.ndarray]:
-        """(volatilities including component 0, lifetimes for components 1..n)."""
-        rng = _stream([self.seed, _PORTFOLIO_STATIC_TAG])
-        sigmas = self.sigma_scale * rng.standard_normal(self.n + 1)
-        lifetimes = rng.uniform(0.0, self.horizon, self.n)
-        return sigmas, lifetimes
+        """(volatilities including component 0, lifetimes for components 1..n).
+
+        Component i draws both from the Philox counter (i, 0)."""
+        key = _philox_key([self.seed, _PORTFOLIO_STATIC_TAG])
+        u_sigma, u_life, _, _ = _counter_uniforms(key, np.arange(self.n + 1), 0)
+        return self.sigma_scale * ndtri(u_sigma), self.horizon * u_life[1:]
 
 
 def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -> np.ndarray:
     """Value paths (M, N+1) with exact Brownian increments per component.
 
-    Each finite-lifetime component is frozen at its lifetime: its
+    Path p's normals are keyed on its index p.  Each finite-lifetime component is frozen at its lifetime: its
     increment over [t_k, t_{k+1}] has variance min(t_{k+1}, l) - min(t_k, l).
     """
     sigmas, lifetimes = spec.draw_components()
@@ -71,8 +73,8 @@ def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -
     var = np.full(grid.steps, sigmas[0] ** 2 * grid.dt)
     for s, l in zip(sigmas[1:], lifetimes):
         var += s ** 2 * np.maximum(0.0, np.minimum(t1, l) - np.minimum(t0, l))
-    rng = _stream([seed, _PORTFOLIO_PATH_TAG])
-    z = rng.standard_normal((m, grid.steps))
+    z = _counter_normals(_philox_key([seed, _PORTFOLIO_PATH_TAG]),
+                         np.arange(m)[:, None], grid.steps)[:, :, 0]
     v = np.empty((m, grid.steps + 1))
     v[:, 0] = spec.v0
     np.cumsum(z * np.sqrt(var), axis=1, out=v[:, 1:])

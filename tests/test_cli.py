@@ -115,6 +115,13 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _write_overflowing_params(workdir):
+    """a=400 with b=sigma=3 overflows |Y|^a within the first year."""
+    labels, a, b, sigma = read_params_csv(workdir / "params.csv")
+    write_params_csv(workdir / "params.csv", labels, np.full_like(a, 400.0),
+                     np.full_like(b, 3.0), np.full_like(sigma, 3.0))
+
+
 class TestCliCommands:
     def test_reconstruct_outputs_row_stochastic(self, workdir):
         res = run_cli("reconstruct", "--config", "run.cfg", "--out", "o",
@@ -160,10 +167,7 @@ class TestCliCommands:
         assert np.abs(mean.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_simulate_non_finite_exits_two(self, workdir):
-        # a=400 with b=sigma=3 overflows |Y|^a within the first year
-        labels, a, b, sigma = read_params_csv(workdir / "params.csv")
-        write_params_csv(workdir / "params.csv", labels, np.full_like(a, 400.0),
-                         np.full_like(b, 3.0), np.full_like(sigma, 3.0))
+        _write_overflowing_params(workdir)
         cfg = workdir / "run.cfg"
         cfg.write_text(cfg.read_text()
                        .replace("grid.steps_per_year = 24", "grid.steps_per_year = 120")
@@ -173,6 +177,42 @@ class TestCliCommands:
         assert res.returncode == 2, res.stderr
         assert "numerical error" in res.stderr
         assert list((workdir / "o").glob("mean_t*.csv")) == []
+
+    def test_calibrate_hist_non_finite_start_exits_two(self, workdir):
+        # the start point clipped up to a=b=sigma=50 leaves floating-point range
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "hist.m = 20\nhist.bound_lo = 50\n"
+                       "hist.bound_hi = 60\n")
+        res = run_cli("calibrate-hist", "--config", "run.cfg", "--out", "o",
+                      cwd=workdir)
+        assert res.returncode == 2, res.stderr
+        assert "numerical error" in res.stderr
+        assert not (workdir / "o" / "params.csv").exists()
+
+    def test_calibrate_rn_non_finite_start_exits_two(self, workdir):
+        _write_overflowing_params(workdir)
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("measure.kind = historical",
+                                               "measure.kind = exponential")
+                       + "rn.m = 20\n")
+        res = run_cli("calibrate-rn", "--config", "run.cfg", "--out", "o",
+                      cwd=workdir)
+        assert res.returncode == 2, res.stderr
+        assert "numerical error" in res.stderr
+        assert not (workdir / "o" / "rn_result.csv").exists()
+
+    def test_calibrate_hist_non_convergence_warns(self, workdir):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "hist.m = 20\nhist.max_iter = 1\n")
+        res = run_cli("calibrate-hist", "--config", "run.cfg", "--out", "o",
+                      cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        warnings = [line for line in res.stderr.splitlines()
+                    if line.startswith("ratingsde: warning:")]
+        assert len(warnings) == 1 and "did not converge" in warnings[0]
+        summary = json.loads((workdir / "o" / "run_summary.json").read_text())
+        assert summary["converged"] is False
+        assert (workdir / "o" / "params.csv").exists()
 
     def test_ssa_emits_artifacts(self, workdir):
         res = run_cli("ssa", "--config", "run.cfg", "--out", "g", cwd=workdir)

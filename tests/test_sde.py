@@ -191,6 +191,22 @@ class TestRngContract:
         z_tail = draw_noise(4, g, 2, 42, traj_offset=1)
         assert np.array_equal(z_all[1:], z_tail)
 
+    def test_noise_steps_are_prefix_invariant(self):
+        z6 = draw_noise(4, TimeGrid(1.0, 6), 3, 42)
+        z9 = draw_noise(4, TimeGrid(1.0, 9), 3, 42)
+        assert np.array_equal(z6, z9[:, :6])
+
+    def test_noise_law(self):
+        # 2.16e6 draws: N(0, 1) mean and variance, and no lag-1 correlation
+        # along steps or across coordinates, each within 3 standard errors
+        z = draw_noise(4, TimeGrid(1.0, 120), 2000, 7)
+        n = z.size
+        assert abs(z.mean()) <= 3.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) <= 3.0 * np.sqrt(2.0 / n)
+        for lead, lag in ((z[:, 1:], z[:, :-1]), (z[..., 1:], z[..., :-1])):
+            r = np.corrcoef(lead.ravel(), lag.ravel())[0, 1]
+            assert abs(r) <= 3.0 / np.sqrt(lead.size)
+
     @pytest.mark.parametrize("counter, key, expected", [
         ((0, 0, 0, 0), (0, 0),
          (0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8)),

@@ -30,6 +30,11 @@ class TestSimulatePortfolio:
         v = simulate_portfolio(spec, GRID, 5, 2)
         assert np.all(v[:, 0] == -3.0)
 
+    def test_paths_are_keyed_on_the_path_index(self):
+        spec = PortfolioSpec(seed=3)
+        v12 = simulate_portfolio(spec, GRID, 12, 6)
+        assert np.array_equal(simulate_portfolio(spec, GRID, 5, 6), v12[:5])
+
     def test_terminal_variance_matches_frozen_components(self):
         spec = PortfolioSpec(n=24, sigma_scale=10.0, seed=4)
         sigmas, lifetimes = spec.draw_components()
