@@ -164,6 +164,10 @@ class RunConfig:
         big = self.get_floats("csa.thresholds_bank",
                               np.array([10e6, 5e6, 0.0, 0.0][:k]))
         cpty = self.get_floats("csa.thresholds_cpty", big)
+        for key, vec in (("csa.thresholds_bank", big), ("csa.thresholds_cpty", cpty)):
+            if vec.size != k:
+                raise ValidationError(f"{self.source}: {key} needs one threshold per "
+                                      f"rating ({k}), got {vec.size}")
         return CsaTerms(
             thresholds_bank=big,
             thresholds_cpty=cpty,

@@ -126,6 +126,8 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
     """SSA-sample m2 paths per matrix trajectory of an existing bundle."""
     if m2 < 1:
         raise ValidationError(f"m2 must be >= 1, got {m2}")
+    if not 1 <= i0 <= bundle.k:
+        raise ValidationError(f"initial rating must be in 1..{bundle.k}, got {i0}")
     gens = piecewise_generators(bundle)
     m1 = bundle.m
     gen_index = np.repeat(np.arange(m1), m2)

@@ -300,12 +300,15 @@ def _products(increments: np.ndarray, k: int,
     r = np.broadcast_to(np.eye(k), (m, k, k)).copy()
     if rpaths is not None:
         rpaths[:, 0] = r
-    for step in range(n):
-        r = r @ expm_batch(coeffs_to_matrices(increments[:, step], k))
-        r[:, -1, :] = 0.0            # keep the absorbing row exact
-        r[:, -1, -1] = 1.0
-        if rpaths is not None:
-            rpaths[:, step + 1] = r
+    # non-finite increments give non-finite matrices, which the callers'
+    # finite checks report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n):
+            r = r @ expm_batch(coeffs_to_matrices(increments[:, step], k))
+            r[:, -1, :] = 0.0            # keep the absorbing row exact
+            r[:, -1, -1] = 1.0
+            if rpaths is not None:
+                rpaths[:, step + 1] = r
     return r
 
 

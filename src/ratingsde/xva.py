@@ -322,6 +322,9 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
     each party's SSA draws are keyed on the global trajectory index.
     """
     k = params.k
+    for name, rating in (("bank_rating", bank_rating), ("cpty_rating", cpty_rating)):
+        if not 1 <= rating <= k:
+            raise ValidationError(f"{name} must be in 1..{k}, got {rating}")
     n = grid.steps
     xb = np.empty((m, n + 1), dtype=np.int8)
     xc = np.empty((m, n + 1), dtype=np.int8)

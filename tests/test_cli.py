@@ -187,7 +187,22 @@ class TestCliCommands:
                       cwd=workdir)
         assert res.returncode == 2, res.stderr
         assert "numerical error" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
         assert not (workdir / "o" / "params.csv").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("ssa", "ssa.initial = 7"),
+        ("ssa", "ssa.initial = 0"),
+        ("xva", "xva.bank_rating = 9"),
+        ("xva", "csa.thresholds_bank = 1,2"),
+    ])
+    def test_out_of_range_rating_exits_one(self, workdir, command, line):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + line + "\n")
+        res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == 1, res.stderr
+        assert "validation error" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_calibrate_rn_non_finite_start_exits_two(self, workdir):
         _write_overflowing_params(workdir)

@@ -117,6 +117,29 @@ class TestMatExp:
         assert np.array_equal(both, solo)
 
 
+def _sparse_generators(scale: float) -> np.ndarray:
+    """2000 K=4 generators with coefficients in [0, scale], 60% set to zero."""
+    rng = np.random.default_rng(13)
+    c = rng.uniform(0, scale, (2000, 9))
+    c[rng.uniform(size=c.shape) < 0.6] = 0.0
+    return coeffs_to_matrices(c, 4)
+
+
+class TestExpmBatch:
+    @pytest.mark.parametrize("scale", [0.01, 5.0, 50.0])
+    def test_no_negative_entries(self, scale):
+        assert expm_batch(_sparse_generators(scale)).min() >= 0.0
+
+    @pytest.mark.parametrize("scale, tol", [(0.01, 1e-15), (5.0, 1e-12),
+                                            (50.0, 1e-12)])
+    def test_matches_scipy(self, scale, tol):
+        from scipy.linalg import expm
+
+        a = _sparse_generators(scale)
+        ref = np.stack([expm(g) for g in a])
+        assert np.abs(expm_batch(a) - ref).max() <= tol
+
+
 class TestAd:
     def test_self_commutator_vanishes(self):
         a = np.random.default_rng(0).standard_normal((3, 3))
