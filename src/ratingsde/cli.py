@@ -272,6 +272,11 @@ def _cmd_ssa(args) -> int:
     m1 = cfg.get_int("sim.m1", 100)
     m2 = cfg.get_int("sim.m2", 1000)
     initial = cfg.get_floats("ssa.initial")
+    if initial is not None and (
+            initial.size == 0 or np.any(initial != np.round(initial))
+            or np.any((initial < 1) | (initial > k))):
+        raise ValidationError(f"{cfg.source}: ssa.initial must list integer "
+                              f"ratings in 1..{k}, got {initial.tolist()}")
     i0_list = (list(range(1, k)) if initial is None
                else [int(i) for i in initial])
     measure = cfg.measure()
@@ -293,8 +298,7 @@ def _cmd_ssa(args) -> int:
 
     err = simulation_error(nested, grid.horizon)
     for i0, paths in nested.items():
-        flat = paths.flat_states
-        freq = np.stack([(flat == r + 1).mean(axis=0) for r in range(k)], axis=1)
+        freq = paths.occupancy.sum(0) / (m1 * m2)
         name = f"occupancy_{labels[i0 - 1]}.svg"
         (out / name).write_text(
             occupancy_plot(grid.times, freq, labels, labels[i0 - 1]))

@@ -162,7 +162,7 @@ class RunConfig:
     def csa_terms(self) -> CsaTerms:
         k = self.k
         big = self.get_floats("csa.thresholds_bank",
-                              np.array([10e6, 5e6, 0.0, 0.0][:k]))
+                              np.array([10e6, 5e6] + [0.0] * (k - 2)))
         cpty = self.get_floats("csa.thresholds_cpty", big)
         for key, vec in (("csa.thresholds_bank", big), ("csa.thresholds_cpty", cpty)):
             if vec.size != k:

@@ -37,13 +37,18 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
 
 
 def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
-               grid: TimeGrid, key: np.ndarray, path_offset: int = 0):
+               grid: TimeGrid, key: np.ndarray, path_offset: int = 0,
+               occupancy: np.ndarray | None = None):
     """Event-driven SSA across paths with per-path generator sequences.
 
     gens: (G, N, K, K); gen_index: (P,) path -> generator; i0: (P,) 1-based.
     Event e of path p draws from the Philox counter (path_offset + p, e)
     under `key`, so a path's draws do not depend on the batch it runs in.
-    Returns (states (P, N+1) int8, default_time (P,), predefault (P,) int8).
+    Returns (states (P, N+1) int8, default_time (P,), predefault (P,) int8);
+    states is the transposed view of a time-major (N+1, P) array.  If given,
+    `occupancy` (G, N+1, K), integer, receives for each generator g and grid
+    index j the number of g's paths in each state at j, counted from the
+    jump events.
     """
     p = gen_index.size
     g, n, k = gens.shape[:3]
@@ -53,8 +58,11 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
     np.cumsum(rates.transpose(0, 2, 1) * grid.dt, axis=2, out=hazard[:, :, 1:])
 
     cur = np.asarray(i0, dtype=np.int64) - 1
-    states = np.zeros((p, n + 1), dtype=np.int8)   # jump deltas, summed below
-    states[:, 0] = cur + 1
+    states = np.zeros((n + 1, p), dtype=np.int8)   # jump deltas, summed below
+    states[0] = cur + 1
+    if occupancy is not None:
+        occupancy[...] = 0
+        np.add.at(occupancy, (gen_index, 0, cur), 1)
     def_time = np.full(p, np.nan)
     predef = np.zeros(p, dtype=np.int8)
     def_time[cur == k - 1] = 0.0
@@ -71,17 +79,18 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
         u_wait, u_dest, _, _ = _counter_uniforms(key, path_offset + live, event)
         gl = gen_index[live]
         target = h - np.log(u_wait)
-        # first grid index i > j with H_s[i] >= target, or n + 1 if none
-        lo, hi = j, np.full(live.size, n + 1)
+        # paths whose budget outlasts the horizon never jump again
+        jumped = np.nonzero(hazard[gl, s, n] >= target)[0]
+        live, gl, s, t = live[jumped], gl[jumped], s[jumped], t[jumped]
+        target, u_dest = target[jumped], u_dest[jumped]
+        # first grid index i in (j, n] with H_s[i] >= target
+        lo, hi = j[jumped], np.full(live.size, n)
         while (hi - lo > 1).any():
             mid = (lo + hi) // 2
             reached = hazard[gl, s, mid] >= target
             hi = np.where(reached, mid, hi)
             lo = np.where(reached, lo, mid)
-        jumped = np.nonzero(hi <= n)[0]
-        live, gl, s, t = live[jumped], gl[jumped], s[jumped], t[jumped]
-        target, u_dest = target[jumped], u_dest[jumped]
-        j = hi[jumped] - 1
+        j = hi - 1
         tau = times[j] + (target - hazard[gl, s, j]) / rates[gl, j, s]
         tau = np.clip(tau, t, times[j + 1])       # round-off at the ends
         rows = gens[gl, j, s, :].copy()
@@ -89,7 +98,10 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
         cum = np.cumsum(rows, axis=1)
         # u_dest < 1, so the threshold lies below the row's own total
         dest = np.argmax(cum > (u_dest * cum[:, -1])[:, None], axis=1)
-        states[live, j + 1] += (dest - s).astype(np.int8)
+        states[j + 1, live] += (dest - s).astype(np.int8)
+        if occupancy is not None:
+            np.subtract.at(occupancy, (gl, j + 1, s), 1)
+            np.add.at(occupancy, (gl, j + 1, dest), 1)
         absorbed = dest == k - 1
         def_time[live[absorbed]] = tau[absorbed]
         predef[live[absorbed]] = s[absorbed] + 1
@@ -98,8 +110,11 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
                              tau[go_on])
         h = hazard[gl, s, j] + rates[gl, j, s] * (t - times[j])
         event += 1
-    np.cumsum(states, axis=1, dtype=np.int8, out=states)
-    return states, def_time, predef
+    for i in range(1, n + 1):
+        np.add(states[i], states[i - 1], out=states[i])
+    if occupancy is not None:
+        np.cumsum(occupancy, axis=1, out=occupancy)
+    return states.T, def_time, predef
 
 
 @dataclass
@@ -114,6 +129,7 @@ class NestedPaths:
     states: np.ndarray        # (M1, M2, N+1), 1-based ratings
     default_time: np.ndarray  # (M1, M2), nan = no default before horizon
     predefault: np.ndarray    # (M1, M2), 0 = no default
+    occupancy: np.ndarray     # (M1, N+1, K), paths per state, counted per trajectory
     bundle: MatrixPathBundle | None = None
 
     @property
@@ -133,12 +149,15 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
     gen_index = np.repeat(np.arange(m1), m2)
     i0_arr = np.full(m1 * m2, i0)
     key = _philox_key([seed, _SSA_STREAM_TAG, i0])
-    states, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, key)
+    occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
+    states, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, key,
+                                  occupancy=occupancy)
     return NestedPaths(
         i0=i0, m1=m1, m2=m2, grid=bundle.grid, seed=seed,
         states=states.reshape(m1, m2, -1),
         default_time=dt_.reshape(m1, m2),
         predefault=pd_.reshape(m1, m2),
+        occupancy=occupancy,
         bundle=bundle,
     )
 
@@ -172,10 +191,11 @@ def empirical_transition(states_by_i0: dict[int, np.ndarray], t: float,
 
 
 def simulation_error(nested_by_i0: dict[int, NestedPaths], t: float) -> float:
-    """Mean over matrix trajectories of ||R_model - R_empirical||_F / K^2.
+    """Mean over matrix trajectories of ||R_model - R_empirical||_F / (rows K).
 
-    All collections must share one bundle (same matrix trajectories); the
-    absorbing initial rating is filled in exactly if not sampled.
+    The norm runs over the sampled initial ratings' rows plus the absorbing
+    row, which is filled in exactly if not sampled.  All collections must
+    share one bundle (same matrix trajectories).
     """
     any_np = next(iter(nested_by_i0.values()))
     bundle = any_np.bundle
@@ -191,16 +211,12 @@ def simulation_error(nested_by_i0: dict[int, NestedPaths], t: float) -> float:
     for i0, npaths in nested_by_i0.items():
         if npaths.bundle is not bundle or npaths.m1 != m1:
             raise ValidationError("collections must share the same matrix trajectories")
-        at_t = npaths.states[:, :, idx]             # (M1, M2)
-        counts = np.apply_along_axis(np.bincount, 1, at_t - 1, minlength=k)
-        emp[:, i0 - 1, :] = counts / npaths.m2
+        emp[:, i0 - 1, :] = npaths.occupancy[:, idx] / npaths.m2
         filled[i0 - 1] = True
     if not filled[k - 1]:
         emp[:, k - 1, k - 1] = 1.0
         filled[k - 1] = True
-    if not filled.all():
-        missing = [i + 1 for i in range(k) if not filled[i]]
-        raise ValidationError(f"no paths for initial ratings {missing}")
 
-    diffs = np.linalg.norm((model - emp).reshape(m1, -1), axis=1)
-    return float(diffs.mean() / k ** 2)
+    rows = int(filled.sum())
+    diffs = np.linalg.norm((model - emp)[:, filled].reshape(m1, -1), axis=1)
+    return float(diffs.mean() / (rows * k))

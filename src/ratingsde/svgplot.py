@@ -20,6 +20,12 @@ def _f(x: float) -> str:
     return format(float(x), ".2f")
 
 
+def _points(x, y) -> str:
+    """'x,y' pairs joined by spaces, each coordinate formatted like _f."""
+    xy = np.column_stack([x, y]).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
+
+
 def _svg(width: int, height: int, body: list[str]) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">')
@@ -63,7 +69,7 @@ class _Panel:
         return self.y0 + _PANEL_H - (np.asarray(y) - self.ymin) / (self.ymax - self.ymin) * _PANEL_H
 
     def polyline(self, x, y, color, width=1.0, opacity=1.0):
-        pts = " ".join(f"{_f(a)},{_f(b)}" for a, b in zip(self.px(x), self.py(y)))
+        pts = _points(self.px(x), self.py(y))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}" stroke-opacity="{opacity}"/>')

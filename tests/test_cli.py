@@ -12,6 +12,7 @@ from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              read_rating_csv, write_params_csv, write_pd_csv,
                              write_rating_csv)
+from ratingsde.svgplot import _points
 
 from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, run_cli
 
@@ -55,6 +56,16 @@ class TestMatIo:
         assert np.array_equal(pds, [0.1, 0.2, 0.3, 1.0])
 
 
+class TestSvgPlot:
+    def test_points_match_per_coordinate_format(self):
+        x = np.array([0.0, -0.0, 0.125, 0.375, -0.004, -1.005, 2.675, 1e6 / 3])
+        y = np.array([-0.125, 0.005, -0.0, 12.345, 0.625, -7.5, 1.115, -2.5])
+        ref = " ".join(f"{format(float(a), '.2f')},{format(float(b), '.2f')}"
+                       for a, b in zip(x, y))
+        assert _points(x, y) == ref
+        assert "-0.00" in ref and "0.12" in ref and "0.38" in ref
+
+
 class TestConfig:
     def test_grammar(self):
         values = parse_config_text("# comment\n\nseed = 3\ngrid.horizon=2.0\n")
@@ -81,6 +92,13 @@ class TestConfig:
         cfg = RunConfig.from_file(p)
         with pytest.raises(ValidationError, match="missing file"):
             cfg.get_path("paths.cohort", required=True)
+
+    def test_default_csa_thresholds_for_five_ratings(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 1\nlabels = A,B,C,D,E\n")
+        terms = RunConfig.from_file(p).csa_terms()
+        assert np.array_equal(terms.thresholds_bank, [10e6, 5e6, 0.0, 0.0, 0.0])
+        assert np.array_equal(terms.thresholds_cpty, terms.thresholds_bank)
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         (tmp_path / "m.csv").write_text("x")
@@ -193,6 +211,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("command, line", [
         ("ssa", "ssa.initial = 7"),
         ("ssa", "ssa.initial = 0"),
+        ("ssa", "ssa.initial = 1.5,2,3"),
         ("xva", "xva.bank_rating = 9"),
         ("xva", "csa.thresholds_bank = 1,2"),
     ])
@@ -203,6 +222,7 @@ class TestCliCommands:
         assert res.returncode == 1, res.stderr
         assert "validation error" in res.stderr
         assert "Traceback" not in res.stderr
+        assert list((workdir / "o").iterdir()) == []
 
     def test_calibrate_rn_non_finite_start_exits_two(self, workdir):
         _write_overflowing_params(workdir)
@@ -235,6 +255,16 @@ class TestCliCommands:
         for name in ("occupancy_t1.csv", "predefault.csv", "predefault.svg",
                      "occupancy_A.svg"):
             assert (workdir / "g" / name).exists()
+
+    def test_ssa_initial_subset(self, workdir):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "ssa.initial = 1\n")
+        res = run_cli("ssa", "--config", "run.cfg", "--out", "g", cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        assert (workdir / "g" / "occupancy_A.svg").exists()
+        assert not (workdir / "g" / "occupancy_B.svg").exists()
+        summary = json.loads((workdir / "g" / "run_summary.json").read_text())
+        assert 0.0 < summary["simulation_error_t_horizon"] < 0.05
 
     def test_xva_report_regimes_and_identity(self, workdir):
         res = run_cli("xva", "--config", "run.cfg", "--out", "x", cwd=workdir)

@@ -177,6 +177,47 @@ class TestSsaBatch:
             assert np.array_equal(w, np.concatenate([a, b]), equal_nan=True)
 
 
+class TestOccupancy:
+    @staticmethod
+    def _bincounts(states, gen_index, g, k):
+        return np.stack([np.stack([np.bincount(col - 1, minlength=k)
+                                   for col in states[gen_index == i].T])
+                         for i in range(g)])
+
+    def test_batch_occupancy_counts_the_returned_states(self, calibrated_params):
+        # fast and calibrated time-varying generators, one active only in the
+        # last interval, one that never moves; every start rating
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 24), 2, 3, store_rpaths=False)
+        gens = piecewise_generators(bundle)
+        last_only = np.zeros_like(gens[:1])
+        last_only[0, -1] = CONST_GEN * 20.0
+        gens = np.concatenate([gens * 50.0, gens, last_only,
+                               np.zeros_like(gens[:1])])
+        p, n = 1200, bundle.grid.steps
+        gen_index = np.arange(p) % 6
+        i0 = 1 + (np.arange(p) // 6) % 4
+        for seed in (11, 12, 13):
+            occ = np.empty((6, n + 1, 4), dtype=np.int64)
+            states, _, _ = _ssa_batch(gens, gen_index, i0, bundle.grid,
+                                      _philox_key([seed]), occupancy=occ)
+            assert np.array_equal(occ, self._bincounts(states, gen_index, 6, 4))
+            jumps = np.diff(states, axis=1) != 0
+            only_last = jumps[:, -1] & ~jumps[:, :-1].any(axis=1)
+            assert only_last[gen_index == 4].any()
+            assert (~jumps.any(axis=1) & (i0 != 4)).any()
+
+    def test_nested_occupancy_counts_the_states(self, calibrated_params):
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 12), 3, 4)
+        for seed in (0, 1):
+            for i0 in (1, 2, 3, 4):
+                nested = sample_from_bundle(bundle, 400, i0, seed)
+                expect = self._bincounts(nested.flat_states,
+                                         np.repeat(np.arange(3), 400), 3, 4)
+                assert np.array_equal(nested.occupancy, expect)
+
+
 class TestNestedSimulate:
     def test_single_frozen_path(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
@@ -227,6 +268,21 @@ class TestEmpiricalTransition:
         bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0)
         nested = {i0: sample_from_bundle(bundle, 10, i0, 0) for i0 in (1, 2, 3)}
         assert simulation_error(nested, 1.0) <= 1e-12
+
+    def test_simulation_error_over_sampled_rows(self, calibrated_params):
+        # one sampled rating: the norm covers its row and the exact absorbing
+        # row, divided by rows * K
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 10), 3, 5)
+        nested = sample_from_bundle(bundle, 200, 2, 5)
+        emp = np.zeros((3, 2, 4))
+        emp[:, 0] = [np.bincount(row - 1, minlength=4) / 200
+                     for row in nested.states[:, :, -1]]
+        emp[:, 1, 3] = 1.0
+        model = bundle.require_rpaths()[:, -1][:, [1, 3]]
+        expect = np.linalg.norm(model - emp, axis=(1, 2)).mean() / 8
+        assert np.isclose(simulation_error({2: nested}, 1.0), expect,
+                          rtol=1e-12, atol=0)
 
     def test_simulation_error_requires_shared_bundle(self, calibrated_params):
         grid = TimeGrid(1.0, 5)
