@@ -88,19 +88,26 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ValidationError(f"{self.source}: {key} must be a number, got {raw!r}") from exc
+        if math.isnan(value):
+            raise ValidationError(f"{self.source}: {key} must be a number, got {raw!r}")
+        return value
 
     def get_floats(self, key: str, default=None, required: bool = False):
         raw = self._raw(key, None, required)
         if raw is None:
             return default
         try:
-            return np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
+            values = np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
         except ValueError as exc:
             raise ValidationError(f"{self.source}: {key} must be a comma-separated "
                                   f"list of numbers, got {raw!r}") from exc
+        if np.isnan(values).any():
+            raise ValidationError(f"{self.source}: {key} must be a comma-separated "
+                                  f"list of numbers, got {raw!r}")
+        return values
 
     def get_path(self, key: str, required: bool = False) -> Path | None:
         raw = self._raw(key, None, required)
@@ -120,6 +127,8 @@ class RunConfig:
         labels = [tok.strip() for tok in raw.split(",") if tok.strip()]
         if len(labels) < 2:
             raise ValidationError(f"{self.source}: need at least 2 rating labels")
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"{self.source}: labels must be distinct, got {raw!r}")
         return labels
 
     @property
@@ -134,6 +143,9 @@ class RunConfig:
 
     def grid(self) -> TimeGrid:
         horizon = self.get_float("grid.horizon", 1.0)
+        if not math.isfinite(horizon):
+            raise ValidationError(f"{self.source}: grid.horizon must be finite, "
+                                  f"got {horizon}")
         per_year = self.get_int("grid.steps_per_year", 120)
         steps = round(horizon * per_year)
         if steps < 1:
@@ -189,6 +201,7 @@ class RunConfig:
         default = np.array([1 / 12, 0.25, 0.5, 1.0])
         pts = self.get_floats("checkpoints", default)
         horizon = self.get_float("grid.horizon", 1.0)
-        if np.any(pts <= 0) or np.any(pts > horizon + 1e-12):
+        if not (np.isfinite(pts).all() and np.all(pts > 0)
+                and np.all(pts <= horizon + 1e-12)):
             raise ValidationError(f"{self.source}: checkpoints must lie in (0, horizon]")
         return pts

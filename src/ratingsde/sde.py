@@ -189,24 +189,50 @@ _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
 _PHILOX_W = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
 
 
+# Counters per pass of the Philox rounds: a block's four words and two
+# products (6 x 128 KiB) stay in a core's L2 cache across the ten rounds.
+_PHILOX_BLOCK = 1 << 14
+
+
 def _philox4x32(counter, key) -> tuple[np.ndarray, ...]:
     """Philox4x32-10 (Salmon et al., SC'11) on a batch of counters.
 
-    counter: four arrays of 32-bit words, key: two 32-bit words.  Returns
-    the four output words as uint64 arrays holding 32-bit values.
+    counter: four arrays of 32-bit words, broadcast against each other;
+    key: two 32-bit words.  Returns the four output words as uint64 arrays
+    holding 32-bit values.  The outputs start as copies of the counter
+    words and the rounds update them in place, _PHILOX_BLOCK counters at
+    a time, so no round allocates and the caller's arrays are unchanged.
     """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0, k1 = (np.uint64(w) for w in key)
+    counter = [np.asarray(c, dtype=np.uint64) for c in counter]
+    shape = np.broadcast_shapes(*(c.shape for c in counter))
+    words = tuple(np.empty(shape, np.uint64) for _ in counter)
+    for w, c in zip(words, counter):
+        w[...] = c
+    round_keys = [(np.uint64(key[0]), np.uint64(key[1]))]
+    for _ in range(9):
+        k0, k1 = round_keys[-1]
+        round_keys.append(((k0 + _PHILOX_W[0]) & _MASK32,
+                           (k1 + _PHILOX_W[1]) & _MASK32))
+    flat = [w.reshape(-1) for w in words]
+    p0 = np.empty(min(flat[0].size, _PHILOX_BLOCK), np.uint64)
+    p1 = np.empty_like(p0)
     shift = np.uint64(32)
-    for rnd in range(10):
-        if rnd:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK32
-            k1 = (k1 + _PHILOX_W[1]) & _MASK32
-        p0 = _PHILOX_M[0] * c0
-        p1 = _PHILOX_M[1] * c2
-        c0, c1, c2, c3 = ((p1 >> shift) ^ c1 ^ k0, p1 & _MASK32,
-                          (p0 >> shift) ^ c3 ^ k1, p0 & _MASK32)
-    return c0, c1, c2, c3
+    for start in range(0, flat[0].size, _PHILOX_BLOCK):
+        c0, c1, c2, c3 = (w[start:start + _PHILOX_BLOCK] for w in flat)
+        q0, q1 = p0[:c0.size], p1[:c0.size]
+        for k0, k1 in round_keys:
+            np.multiply(c0, _PHILOX_M[0], out=q0)
+            np.multiply(c2, _PHILOX_M[1], out=q1)
+            # c0, c1, c2, c3 <- hi(q1) ^ c1 ^ k0, lo(q1), hi(q0) ^ c3 ^ k1, lo(q0)
+            np.right_shift(q1, shift, out=c0)
+            np.bitwise_xor(c0, c1, out=c0)
+            np.bitwise_xor(c0, k0, out=c0)
+            np.bitwise_and(q1, _MASK32, out=c1)
+            np.right_shift(q0, shift, out=c2)
+            np.bitwise_xor(c2, c3, out=c2)
+            np.bitwise_xor(c2, k1, out=c2)
+            np.bitwise_and(q0, _MASK32, out=c3)
+    return words
 
 
 def _counter_uniforms(key, index: np.ndarray,
@@ -217,8 +243,7 @@ def _counter_uniforms(key, index: np.ndarray,
     32-bit output x maps to (x + 0.5) / 2**32, which is never 0 or 1.
     """
     index = np.asarray(index, dtype=np.uint64)
-    counter = (index & _MASK32, index >> np.uint64(32),
-               np.asarray(event, dtype=np.uint64), np.zeros(index.shape, np.uint64))
+    counter = (index & _MASK32, index >> np.uint64(32), event, 0)
     return tuple((x + 0.5) * 2.0 ** -32 for x in _philox4x32(counter, key))
 
 
@@ -290,25 +315,38 @@ def _increments(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     return increments
 
 
+# Matrices per expm_batch call in _products: enough to amortize the
+# per-call overhead, few enough that a block's factors stay in cache (one
+# call over the whole horizon was slower than one call per step).
+_STEP_BLOCK = 4096
+
+
 def _products(increments: np.ndarray, k: int,
               rpaths: np.ndarray | None = None) -> np.ndarray:
     """Terminal matrices of R_{k+1} = R_k exp(dA_k), R_0 = I; shape (M, K, K).
 
-    When rpaths (M, N+1, K, K) is given, every R_k is written into it.
+    The factors exp(dA_k) are formed max(1, _STEP_BLOCK // M) steps per
+    expm_batch call, time-major, so each step's (M, K, K) factors are
+    contiguous.  When rpaths (M, N+1, K, K) is given, every R_k is written
+    into it.
     """
     m, n, _ = increments.shape
+    block = max(1, _STEP_BLOCK // m)
     r = np.broadcast_to(np.eye(k), (m, k, k)).copy()
     if rpaths is not None:
         rpaths[:, 0] = r
     # non-finite increments give non-finite matrices, which the callers'
     # finite checks report
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n):
-            r = r @ expm_batch(coeffs_to_matrices(increments[:, step], k))
-            r[:, -1, :] = 0.0            # keep the absorbing row exact
-            r[:, -1, -1] = 1.0
-            if rpaths is not None:
-                rpaths[:, step + 1] = r
+        for start in range(0, n, block):
+            factors = expm_batch(coeffs_to_matrices(
+                increments[:, start:start + block].transpose(1, 0, 2), k))
+            for step, factor in enumerate(factors, start):
+                r = r @ factor
+                r[:, -1, :] = 0.0            # keep the absorbing row exact
+                r[:, -1, -1] = 1.0
+                if rpaths is not None:
+                    rpaths[:, step + 1] = r
     return r
 
 
@@ -363,27 +401,32 @@ _CHUNK = 256
 
 def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                             m: int, seed: int, **kwargs) -> MatrixPathBundle:
-    """simulate_paths over fixed chunks of 256 trajectories, concatenated.
+    """simulate_paths over fixed chunks of 256 trajectories.
 
-    Every draw is keyed on its global trajectory index, so the result
-    equals a single simulate_paths call bit for bit.  The chunks run one
-    after another on the calling thread: a pool of 2 workers was slower
-    than 1.
+    The first chunk fixes which arrays are stored; full (M, ...) arrays
+    are allocated then, and each chunk is copied into them and dropped
+    before the next is simulated, so at most one chunk is held beside the
+    result.  Every draw is keyed on its global trajectory index, so the
+    result equals a single simulate_paths call bit for bit.  The chunks
+    run one after another on the calling thread: a pool of 2 workers was
+    slower than 1.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    parts = [simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
-                            traj_offset=off, **kwargs)
-             for off in range(0, m, _CHUNK)]
-
-    def cat(name):
-        vals = [getattr(p, name) for p in parts]
-        return None if vals[0] is None else np.concatenate(vals, axis=0)
-
+    full = {}
+    for off in range(0, m, _CHUNK):
+        part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
+                              traj_offset=off, **kwargs)
+        for name in ("increments", "rpaths", "w_increments"):
+            chunk = getattr(part, name)
+            if off == 0:
+                full[name] = None if chunk is None else np.empty((m, *chunk.shape[1:]))
+            if chunk is not None:
+                full[name][off:off + part.m] = chunk
+        del part, chunk              # hold no chunk while the next is simulated
     return MatrixPathBundle(
         k=params.k, grid=grid, params=params, measure=measure, seed=seed, m=m,
-        increments=cat("increments"), rpaths=cat("rpaths"),
-        w_increments=cat("w_increments"),
+        **full,
     )
 
 

@@ -26,6 +26,11 @@ def _points(x, y) -> str:
     return " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
 
 
+def _polyline(points: str, color: str, width: float, opacity: float) -> str:
+    return (f'<polyline points="{points}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}" stroke-opacity="{opacity}"/>')
+
+
 def _svg(width: int, height: int, body: list[str]) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">')
@@ -69,10 +74,8 @@ class _Panel:
         return self.y0 + _PANEL_H - (np.asarray(y) - self.ymin) / (self.ymax - self.ymin) * _PANEL_H
 
     def polyline(self, x, y, color, width=1.0, opacity=1.0):
-        pts = _points(self.px(x), self.py(y))
         self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}" stroke-opacity="{opacity}"/>')
+            _polyline(_points(self.px(x), self.py(y)), color, width, opacity))
 
     def bar(self, x, y, w, h, color):
         self.parts.append(
@@ -94,7 +97,12 @@ def _panel_grid(k: int):
 
 def trajectory_fans(times: np.ndarray, rpaths: np.ndarray, labels: list[str],
                     max_paths: int = 50) -> str:
-    """K x K lattice of per-entry trajectory fans; rpaths (M, N+1, K, K)."""
+    """K x K lattice of per-entry trajectory fans; rpaths (M, N+1, K, K).
+
+    Each panel formats its x coordinates once into a template, so a
+    polyline is one %-format over its row of y coordinates; the bytes are
+    those of _Panel.polyline.
+    """
     m, _, k, _ = rpaths.shape
     shown = min(m, max_paths)
     origins, width, height = _panel_grid(k)
@@ -105,9 +113,10 @@ def trajectory_fans(times: np.ndarray, rpaths: np.ndarray, labels: list[str],
         panel = _Panel(x0, y0, (times[0], times[-1]),
                        (float(vals.min()), float(vals.max())),
                        title=f"{labels[i]}-{labels[j]}")
-        for p in range(shown):
-            panel.polyline(times, vals[p], _COLORS[p % len(_COLORS)],
-                           width=0.7, opacity=0.6)
+        xs = " ".join([f"{x:.2f},%.2f" for x in panel.px(times).tolist()])
+        for p, ys in enumerate(panel.py(vals).tolist()):
+            panel.parts.append(
+                _polyline(xs % tuple(ys), _COLORS[p % len(_COLORS)], 0.7, 0.6))
         body.extend(panel.parts)
     return _svg(width, height, body)
 

@@ -12,7 +12,8 @@ from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              read_rating_csv, write_params_csv, write_pd_csv,
                              write_rating_csv)
-from ratingsde.svgplot import _points
+from ratingsde.svgplot import (_COLORS, _Panel, _panel_grid, _points, _svg,
+                               trajectory_fans)
 
 from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, run_cli
 
@@ -65,6 +66,32 @@ class TestSvgPlot:
         assert _points(x, y) == ref
         assert "-0.00" in ref and "0.12" in ref and "0.38" in ref
 
+    def test_trajectory_fans_match_panel_polylines(self):
+        # x from 0 to 220 and y from -80 to 80 map one data unit to one
+        # pixel, so the data's exact half-cents stay half-cents in pixels
+        times = np.array([0.0, 0.125, 0.375, 2.675, 220.0])
+        paths = np.array([[-80.0, -0.0, 0.125, -2.5, 80.0],
+                          [0.0, -0.375, 1.005, 79.875, -0.0],
+                          [-7.625, 3.0, -80.0, 0.625, 12.345]])
+        rpaths = np.stack([paths, -paths[::-1], paths[:, ::-1], 2 * paths],
+                          axis=-1).reshape(3, 5, 2, 2)
+        labels = ["A", "D"]
+        origins, width, height = _panel_grid(2)
+        body = []
+        for idx, (x0, y0) in enumerate(origins):
+            i, j = divmod(idx, 2)
+            vals = rpaths[:, :, i, j]
+            panel = _Panel(x0, y0, (times[0], times[-1]),
+                           (float(vals.min()), float(vals.max())),
+                           title=f"{labels[i]}-{labels[j]}")
+            for p in range(len(vals)):
+                panel.polyline(times, vals[p], _COLORS[p % len(_COLORS)],
+                               width=0.7, opacity=0.6)
+            body.extend(panel.parts)
+        ref = _svg(width, height, body)
+        assert trajectory_fans(times, rpaths, labels) == ref
+        assert ref.count("<polyline") == 12 and "36.12," in ref and "36.38," in ref
+
 
 class TestConfig:
     def test_grammar(self):
@@ -99,6 +126,12 @@ class TestConfig:
         terms = RunConfig.from_file(p).csa_terms()
         assert np.array_equal(terms.thresholds_bank, [10e6, 5e6, 0.0, 0.0, 0.0])
         assert np.array_equal(terms.thresholds_cpty, terms.thresholds_bank)
+
+    def test_infinite_thresholds_are_accepted(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 1\ncsa.thresholds_bank = inf,inf,0,0\n")
+        terms = RunConfig.from_file(p).csa_terms()
+        assert np.array_equal(terms.thresholds_bank, [np.inf, np.inf, 0.0, 0.0])
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         (tmp_path / "m.csv").write_text("x")
@@ -221,6 +254,26 @@ class TestCliCommands:
         res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
         assert res.returncode == 1, res.stderr
         assert "validation error" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("simulate", "grid.horizon = 1.0", "grid.horizon = nan"),
+        ("simulate", "grid.horizon = 1.0", "grid.horizon = inf"),
+        ("simulate", "checkpoints = 0.25,0.5,1.0", "checkpoints = nan"),
+        ("ssa", "checkpoints = 0.25,0.5,1.0", "checkpoints = 0.5,nan"),
+        ("simulate", "labels = A,B,C,D", "labels = A,A,B,C"),
+        ("xva", None, "portfolio.v0 = nan"),
+    ])
+    def test_non_finite_or_duplicate_config_value_exits_one(self, workdir, command,
+                                                            old, new):
+        cfg = workdir / "run.cfg"
+        text = cfg.read_text()
+        cfg.write_text(text.replace(old, new) if old else text + new + "\n")
+        res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == 1, res.stderr
+        assert "validation error" in res.stderr
+        assert new.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
         assert list((workdir / "o").iterdir()) == []
 

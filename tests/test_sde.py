@@ -7,7 +7,9 @@ from ratingsde import (HISTORICAL, MeasureChange, NumericalError, SdeParams,
                        TimeGrid, ValidationError, default_grid, girsanov_density,
                        kappa_from_h, mean_matrix, simulate_paths,
                        simulate_paths_threaded, var_matrix)
-from ratingsde.sde import _philox4x32, draw_noise, simulate_terminal
+from ratingsde import sde
+from ratingsde.lie import coeffs_to_matrices, expm_batch
+from ratingsde.sde import _philox4x32, _products, draw_noise, simulate_terminal
 
 
 def flat_params(k, a, b, sigma):
@@ -98,6 +100,14 @@ class TestSimulatePaths:
         assert np.array_equal(chunked.increments, single.increments)
         assert np.array_equal(chunked.w_increments, single.w_increments)
 
+    def test_chunked_without_stored_paths(self, calibrated_params):
+        g = TimeGrid(1.0, 15)
+        chunked = simulate_paths_threaded(calibrated_params, HISTORICAL, g, 300, 5,
+                                          store_rpaths=False, store_w=False)
+        single = simulate_paths(calibrated_params, HISTORICAL, g, 300, 5)
+        assert chunked.rpaths is None and chunked.w_increments is None
+        assert np.array_equal(chunked.increments, single.increments)
+
     def test_skipping_products_keeps_increments_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
         full = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5)
@@ -130,6 +140,49 @@ class TestSimulatePaths:
             errs.append(np.linalg.norm(b.require_rpaths()[0, -1] - r_ref))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.35)
+
+
+def _products_per_step(increments, k, rpaths=None):
+    """R_{k+1} = R_k exp(dA_k) with one expm_batch call per step."""
+    m, n, _ = increments.shape
+    r = np.broadcast_to(np.eye(k), (m, k, k)).copy()
+    if rpaths is not None:
+        rpaths[:, 0] = r
+    for step in range(n):
+        r = r @ expm_batch(coeffs_to_matrices(increments[:, step], k))
+        r[:, -1, :] = 0.0
+        r[:, -1, -1] = 1.0
+        if rpaths is not None:
+            rpaths[:, step + 1] = r
+    return r
+
+
+class TestProducts:
+    # blocks of 4096 // m steps: one block (m=1), full blocks (m=100),
+    # a partial last block (m=256, 300) and one step per block (m=4097)
+    @pytest.mark.parametrize("m, n", [(1, 120), (100, 120), (256, 13), (256, 120),
+                                      (300, 13), (300, 120), (4097, 13)])
+    def test_blocked_steps_match_per_step_loop(self, m, n):
+        rng = np.random.default_rng(m + n)
+        increments = rng.uniform(0.0, 0.01, (m, n, 9))
+        increments[:, ::5] *= 300.0          # some factors need squarings
+        assert np.array_equal(_products(increments, 4),
+                              _products_per_step(increments, 4))
+        rpaths, ref = np.empty((2, m, n + 1, 4, 4))
+        assert np.array_equal(_products(increments, 4, rpaths),
+                              _products_per_step(increments, 4, ref))
+        assert np.array_equal(rpaths, ref)
+
+    def test_one_expm_batch_call_per_block(self, monkeypatch):
+        shapes = []
+
+        def counting(a):
+            shapes.append(a.shape[:-2])
+            return expm_batch(a)
+
+        monkeypatch.setattr(sde, "expm_batch", counting)
+        _products(np.full((256, 120, 9), 1e-3), 4)
+        assert shapes == [(16, 256)] * 7 + [(8, 256)]
 
 
 class TestGirsanovDensity:
@@ -220,6 +273,38 @@ class TestRngContract:
         # Random123 known-answer vectors for Philox4x32-10
         out = _philox4x32([np.array([c]) for c in counter], key)
         assert tuple(int(x[0]) for x in out) == expected
+
+    def test_philox_broadcast_counters_match_full_arrays(self):
+        # 3 x 40 x 160 = 19,200 counters: more than one block of rounds
+        key = (0xa4093822, 0x299f31d0)
+        mask = np.uint64(0xFFFFFFFF)
+        c0 = np.arange(480, dtype=np.uint64).reshape(3, 1, 160) * np.uint64(0x9E3779B9)
+        counter = (c0 & mask, np.uint64(7), np.arange(40, dtype=np.uint64)[:, None], 0)
+        before = [np.copy(c) for c in counter]
+        full = [np.array(np.broadcast_to(c, (3, 40, 160))) for c in counter]
+        out = _philox4x32(counter, key)
+        for got, want, ref in zip(out, _philox4x32(full, key),
+                                  _philox_reference(full, key)):
+            assert got.shape == (3, 40, 160)
+            assert np.array_equal(got, want) and np.array_equal(got, ref)
+        for c, b in zip(counter, before):
+            assert np.array_equal(c, b)
+
+
+def _philox_reference(counter, key):
+    """Philox4x32-10 with a new array for every operation."""
+    mask, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = (np.uint64(w) for w in key)
+    for rnd in range(10):
+        if rnd:
+            k0 = (k0 + np.uint64(0x9E3779B9)) & mask
+            k1 = (k1 + np.uint64(0xBB67AE85)) & mask
+        p0 = np.uint64(0xD2511F53) * c0
+        p1 = np.uint64(0xCD9E8D57) * c2
+        c0, c1, c2, c3 = ((p1 >> shift) ^ c1 ^ k0, p1 & mask,
+                          (p0 >> shift) ^ c3 ^ k1, p0 & mask)
+    return c0, c1, c2, c3
 
 
 def test_default_grid_steps():
