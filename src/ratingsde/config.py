@@ -92,7 +92,7 @@ class RunConfig:
         except ValueError as exc:
             raise ValidationError(f"{self.source}: {key} must be a number, got {raw!r}") from exc
         if math.isnan(value):
-            raise ValidationError(f"{self.source}: {key} must be a number, got {raw!r}")
+            raise ValidationError(f"{self.source}: {key} must not be NaN, got {raw!r}")
         return value
 
     def get_floats(self, key: str, default=None, required: bool = False):
@@ -105,8 +105,7 @@ class RunConfig:
             raise ValidationError(f"{self.source}: {key} must be a comma-separated "
                                   f"list of numbers, got {raw!r}") from exc
         if np.isnan(values).any():
-            raise ValidationError(f"{self.source}: {key} must be a comma-separated "
-                                  f"list of numbers, got {raw!r}")
+            raise ValidationError(f"{self.source}: {key} must not be NaN, got {raw!r}")
         return values
 
     def get_path(self, key: str, required: bool = False) -> Path | None:

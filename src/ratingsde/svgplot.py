@@ -20,15 +20,18 @@ def _f(x: float) -> str:
     return format(float(x), ".2f")
 
 
+def _points_template(x) -> str:
+    """'x,%.2f' pairs joined by spaces, x formatted like _f: fill with y."""
+    return " ".join([f"{v:.2f},%.2f" for v in np.asarray(x, dtype=float).tolist()])
+
+
 def _points(x, y) -> str:
     """'x,y' pairs joined by spaces, each coordinate formatted like _f."""
-    xy = np.column_stack([x, y]).ravel().tolist()
-    return " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
+    return _points_template(x) % tuple(np.asarray(y, dtype=float).tolist())
 
 
-def _polyline(points: str, color: str, width: float, opacity: float) -> str:
-    return (f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}" stroke-opacity="{opacity}"/>')
+def _cycle_colors(n: int) -> list[str]:
+    return [_COLORS[i % len(_COLORS)] for i in range(n)]
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -73,9 +76,16 @@ class _Panel:
     def py(self, y):
         return self.y0 + _PANEL_H - (np.asarray(y) - self.ymin) / (self.ymax - self.ymin) * _PANEL_H
 
-    def polyline(self, x, y, color, width=1.0, opacity=1.0):
-        self.parts.append(
-            _polyline(_points(self.px(x), self.py(y)), color, width, opacity))
+    def polylines(self, x, ys, colors, width=1.0, opacity=1.0):
+        """One polyline per row of ys over the shared x, colored by colors.
+
+        The x coordinates are formatted once, so a row costs one %-format.
+        """
+        template = _points_template(self.px(x))
+        for y, color in zip(self.py(ys).tolist(), colors, strict=True):
+            self.parts.append(
+                f'<polyline points="{template % tuple(y)}" fill="none" '
+                f'stroke="{color}" stroke-width="{width}" stroke-opacity="{opacity}"/>')
 
     def bar(self, x, y, w, h, color):
         self.parts.append(
@@ -97,12 +107,7 @@ def _panel_grid(k: int):
 
 def trajectory_fans(times: np.ndarray, rpaths: np.ndarray, labels: list[str],
                     max_paths: int = 50) -> str:
-    """K x K lattice of per-entry trajectory fans; rpaths (M, N+1, K, K).
-
-    Each panel formats its x coordinates once into a template, so a
-    polyline is one %-format over its row of y coordinates; the bytes are
-    those of _Panel.polyline.
-    """
+    """K x K lattice of per-entry trajectory fans; rpaths (M, N+1, K, K)."""
     m, _, k, _ = rpaths.shape
     shown = min(m, max_paths)
     origins, width, height = _panel_grid(k)
@@ -113,10 +118,7 @@ def trajectory_fans(times: np.ndarray, rpaths: np.ndarray, labels: list[str],
         panel = _Panel(x0, y0, (times[0], times[-1]),
                        (float(vals.min()), float(vals.max())),
                        title=f"{labels[i]}-{labels[j]}")
-        xs = " ".join([f"{x:.2f},%.2f" for x in panel.px(times).tolist()])
-        for p, ys in enumerate(panel.py(vals).tolist()):
-            panel.parts.append(
-                _polyline(xs % tuple(ys), _COLORS[p % len(_COLORS)], 0.7, 0.6))
+        panel.polylines(times, vals, _cycle_colors(shown), width=0.7, opacity=0.6)
         body.extend(panel.parts)
     return _svg(width, height, body)
 
@@ -151,8 +153,7 @@ def occupancy_plot(times: np.ndarray, freq: np.ndarray, labels: list[str],
     x0, y0 = _MARGIN, _MARGIN
     panel = _Panel(x0, y0, (times[0], times[-1]), (0.0, 1.0),
                    title=f"occupancy from {i0_label}")
-    for j in range(k):
-        panel.polyline(times, freq[:, j], _COLORS[j % len(_COLORS)], width=1.3)
+    panel.polylines(times, freq.T, _cycle_colors(k), width=1.3)
     legend = [
         f'<text x="{x0 + _PANEL_W + 8}" y="{y0 + 14 + 14 * j}" '
         f'fill="{_COLORS[j % len(_COLORS)]}">{labels[j]}</text>'

@@ -12,8 +12,7 @@ from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              read_rating_csv, write_params_csv, write_pd_csv,
                              write_rating_csv)
-from ratingsde.svgplot import (_COLORS, _Panel, _panel_grid, _points, _svg,
-                               trajectory_fans)
+from ratingsde.svgplot import _Panel, _points, trajectory_fans
 
 from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, run_cli
 
@@ -66,31 +65,29 @@ class TestSvgPlot:
         assert _points(x, y) == ref
         assert "-0.00" in ref and "0.12" in ref and "0.38" in ref
 
-    def test_trajectory_fans_match_panel_polylines(self):
+    def test_polylines_match_per_coordinate_format(self):
         # x from 0 to 220 and y from -80 to 80 map one data unit to one
         # pixel, so the data's exact half-cents stay half-cents in pixels
         times = np.array([0.0, 0.125, 0.375, 2.675, 220.0])
         paths = np.array([[-80.0, -0.0, 0.125, -2.5, 80.0],
                           [0.0, -0.375, 1.005, 79.875, -0.0],
                           [-7.625, 3.0, -80.0, 0.625, 12.345]])
+        colors = ["#111111", "#222222", "#333333"]
+        panel = _Panel(36, 36, (0.0, 220.0), (-80.0, 80.0))
+        before = len(panel.parts)
+        panel.polylines(times, paths, colors, width=0.7, opacity=0.6)
+        ref = []
+        for y, color in zip(paths, colors):
+            pts = " ".join(f"{format(float(a), '.2f')},{format(float(b), '.2f')}"
+                           for a, b in zip(panel.px(times), panel.py(y)))
+            ref.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                       'stroke-width="0.7" stroke-opacity="0.6"/>')
+        assert panel.parts[before:] == ref
+        assert "36.12," in ref[0] and "36.38," in ref[0]
         rpaths = np.stack([paths, -paths[::-1], paths[:, ::-1], 2 * paths],
                           axis=-1).reshape(3, 5, 2, 2)
-        labels = ["A", "D"]
-        origins, width, height = _panel_grid(2)
-        body = []
-        for idx, (x0, y0) in enumerate(origins):
-            i, j = divmod(idx, 2)
-            vals = rpaths[:, :, i, j]
-            panel = _Panel(x0, y0, (times[0], times[-1]),
-                           (float(vals.min()), float(vals.max())),
-                           title=f"{labels[i]}-{labels[j]}")
-            for p in range(len(vals)):
-                panel.polyline(times, vals[p], _COLORS[p % len(_COLORS)],
-                               width=0.7, opacity=0.6)
-            body.extend(panel.parts)
-        ref = _svg(width, height, body)
-        assert trajectory_fans(times, rpaths, labels) == ref
-        assert ref.count("<polyline") == 12 and "36.12," in ref and "36.38," in ref
+        fans = trajectory_fans(times, rpaths, ["A", "D"])
+        assert fans.count("<polyline") == 12 and ref[0].split('" ')[0] in fans
 
 
 class TestConfig:
@@ -105,6 +102,16 @@ class TestConfig:
     def test_rejects_duplicate_key(self):
         with pytest.raises(ValidationError, match="duplicate"):
             parse_config_text("a = 1\na = 2")
+
+    def test_nan_is_named_as_nan(self, tmp_path):
+        cfg = RunConfig(values={"grid.horizon": "nan", "checkpoints": "0.5,nan",
+                                "seed": "one"}, base_dir=tmp_path)
+        with pytest.raises(ValidationError, match="grid.horizon must not be NaN"):
+            cfg.get_float("grid.horizon")
+        with pytest.raises(ValidationError, match="checkpoints must not be NaN"):
+            cfg.get_floats("checkpoints")
+        with pytest.raises(ValidationError, match="seed must be a number"):
+            cfg.get_float("seed")
 
     def test_seed_required(self, tmp_path):
         p = tmp_path / "c.cfg"

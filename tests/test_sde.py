@@ -275,36 +275,18 @@ class TestRngContract:
         assert tuple(int(x[0]) for x in out) == expected
 
     def test_philox_broadcast_counters_match_full_arrays(self):
-        # 3 x 40 x 160 = 19,200 counters: more than one block of rounds
+        # _counter_uniforms passes a scalar 0 word and a column of events
         key = (0xa4093822, 0x299f31d0)
         mask = np.uint64(0xFFFFFFFF)
         c0 = np.arange(480, dtype=np.uint64).reshape(3, 1, 160) * np.uint64(0x9E3779B9)
         counter = (c0 & mask, np.uint64(7), np.arange(40, dtype=np.uint64)[:, None], 0)
         before = [np.copy(c) for c in counter]
         full = [np.array(np.broadcast_to(c, (3, 40, 160))) for c in counter]
-        out = _philox4x32(counter, key)
-        for got, want, ref in zip(out, _philox4x32(full, key),
-                                  _philox_reference(full, key)):
+        for got, want in zip(_philox4x32(counter, key), _philox4x32(full, key)):
             assert got.shape == (3, 40, 160)
-            assert np.array_equal(got, want) and np.array_equal(got, ref)
+            assert np.array_equal(got, want)
         for c, b in zip(counter, before):
             assert np.array_equal(c, b)
-
-
-def _philox_reference(counter, key):
-    """Philox4x32-10 with a new array for every operation."""
-    mask, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0, k1 = (np.uint64(w) for w in key)
-    for rnd in range(10):
-        if rnd:
-            k0 = (k0 + np.uint64(0x9E3779B9)) & mask
-            k1 = (k1 + np.uint64(0xBB67AE85)) & mask
-        p0 = np.uint64(0xD2511F53) * c0
-        p1 = np.uint64(0xCD9E8D57) * c2
-        c0, c1, c2, c3 = ((p1 >> shift) ^ c1 ^ k0, p1 & mask,
-                          (p0 >> shift) ^ c3 ^ k1, p0 & mask)
-    return c0, c1, c2, c3
 
 
 def test_default_grid_steps():
