@@ -28,6 +28,11 @@ DEFAULT_BOUND_HI = 3.0
 DEFAULT_START = (1.5, 0.1, 0.05)   # (a, b, sigma) uniform starting point
 FD_REL_STEP = 1e-6
 LM_LAMBDA0 = 1e-3
+# Box for the free entries of h, which all start at 1; the ratio kind
+# needs h_i > 0.
+RN_BOUNDS = {"jlt": (-1e4, 1e4), "exponential": (1e-6, 1e4)}
+# Slack before a rating-matrix property counts as violated.
+PROPERTY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -226,31 +231,28 @@ class RnCalibrationResult:
 
 def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
                            grid: TimeGrid | None = None, m: int = 1000,
-                           seed: int = 0, start: np.ndarray | None = None,
-                           bounds: tuple | None = None) -> RnCalibrationResult:
-    """Fit the K-1 free entries of h by bounded least squares (trust region).
+                           seed: int = 0) -> RnCalibrationResult:
+    """Fit the K-1 free entries of h by bounded least squares (trust region),
+    from h = 1 within RN_BOUNDS[kind].
 
     The SDE parameters stay fixed at their historical values; only the
     drift shift varies.  Raises NumericalError if the residual at the
     start point is not finite.
     """
-    if kind not in ("jlt", "exponential"):
+    if kind not in RN_BOUNDS:
         raise ValidationError(f"calibratable kinds are 'jlt' and 'exponential', got {kind!r}")
     grid = grid or default_grid()
     k = params.k
     noise = draw_noise(k, grid, m, seed)
-    if start is None:
-        start = np.ones(k - 1)
-    if bounds is None:
-        bounds = (1e-6, 1e4) if kind == "exponential" else (-1e4, 1e4)
+    start = np.ones(k - 1)
     _require_finite(rn_residual(start, params, kind, targets, grid, m, seed,
                                 noise=noise), "residuals at the start point")
 
     res = least_squares(
-        rn_residual, np.asarray(start, dtype=float),
+        rn_residual, start,
         args=(params, kind, targets, grid, m, seed),
         kwargs={"noise": noise},
-        bounds=bounds, method="trf", diff_step=1e-6, xtol=1e-10, ftol=1e-10, gtol=1e-10,
+        bounds=RN_BOUNDS[kind], method="trf", diff_step=1e-6, xtol=1e-10, ftol=1e-10, gtol=1e-10,
     )
     return RnCalibrationResult(
         h=np.append(res.x, 1.0), sse=float(2.0 * res.cost),
@@ -299,8 +301,7 @@ def _stat(checkpoint, violations: np.ndarray, magnitudes: np.ndarray,
                         worst_violation=worst, offending=offending)
 
 
-def property_report(bundle: MatrixPathBundle, checkpoints: list[float],
-                    tol: float = 1e-12) -> PropertyReport:
+def property_report(bundle: MatrixPathBundle, checkpoints: list[float]) -> PropertyReport:
     """Evaluate the four rating-matrix properties pathwise at the checkpoints."""
     rp = bundle.require_rpaths()
     k = bundle.k
@@ -317,19 +318,19 @@ def property_report(bundle: MatrixPathBundle, checkpoints: list[float],
         # (1) strong diagonal dominance per row
         off_sum = r.sum(axis=2) - r[:, diag, diag]
         gap = off_sum - r[:, diag, diag]
-        viol = gap > tol
+        viol = gap > PROPERTY_TOL
         dd_stats.append(_stat(t, viol, np.where(viol, gap, 0.0),
                               [f"row {i + 1}" for i in range(k)]))
         # (2) downgrades at least as likely as upgrades
         upper = r[:, iu[0], iu[1]].sum(axis=1)
         lower = r[:, il[0], il[1]].sum(axis=1)
         gap2 = (lower - upper)[:, None]
-        viol2 = gap2 > tol
+        viol2 = gap2 > PROPERTY_TOL
         ud_stats.append(_stat(t, viol2, np.where(viol2, gap2, 0.0), ["total"]))
         # (3) monotone default column
         col = r[:, :, -1]
         gap3 = col[:, :-1] - col[:, 1:]
-        viol3 = gap3 > tol
+        viol3 = gap3 > PROPERTY_TOL
         mono_stats.append(_stat(t, viol3, np.where(viol3, gap3, 0.0),
                                 [f"{i + 1}-{i + 2}" for i in range(k - 1)]))
 
@@ -337,7 +338,7 @@ def property_report(bundle: MatrixPathBundle, checkpoints: list[float],
     for ci in range(len(checkpoints) - 1):
         s, t = checkpoints[ci], checkpoints[ci + 1]
         ds = mats[:, ci, diag, diag] - mats[:, ci + 1, diag, diag]
-        viol = -ds > tol
+        viol = -ds > PROPERTY_TOL
         dec_stats.append(_stat((s, t), viol, np.where(viol, -ds, 0.0),
                                [f"row {i + 1}" for i in range(k)]))
 
@@ -347,7 +348,7 @@ def property_report(bundle: MatrixPathBundle, checkpoints: list[float],
                           decreasing_diagonal=dec_stats)
 
 
-def static_property_check(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, bool]:
+def static_property_check(matrix: np.ndarray) -> dict[str, bool]:
     """The three single-time properties for one matrix (no time axis)."""
     r = np.asarray(matrix, dtype=float)
     k = r.shape[0]
@@ -357,9 +358,9 @@ def static_property_check(matrix: np.ndarray, tol: float = 1e-12) -> dict[str, b
     il = np.tril_indices(k, -1)
     col = r[:, -1]
     return {
-        "diagonal_dominance": bool(np.all(diag + tol >= off_sum)),
-        "downgrade_dominance": bool(r[iu].sum() + tol >= r[il].sum()),
-        "monotone_default_column": bool(np.all(np.diff(col) >= -tol)),
+        "diagonal_dominance": bool(np.all(diag + PROPERTY_TOL >= off_sum)),
+        "downgrade_dominance": bool(r[iu].sum() + PROPERTY_TOL >= r[il].sum()),
+        "monotone_default_column": bool(np.all(np.diff(col) >= -PROPERTY_TOL)),
     }
 
 

@@ -29,11 +29,11 @@ from .calibrate import (HistCalibrationSpec, PdTargets, calibrate_historical,
 from .cohort import (CohortMatrix, WeightMatrix, proportional_weights, repair,
                      uniform_weights)
 from .config import RunConfig
-from .ctmc import empirical_transition, sample_from_bundle, simulation_error
+from .ctmc import sample_from_bundle, simulation_error
 from .errors import NumericalError, RatingSdeError, ValidationError
 from .matio import (read_params_csv, read_pd_csv, read_rating_csv,
                     write_params_csv, write_rating_csv)
-from .sde import mean_matrix, simulate_paths_threaded, var_matrix
+from .sde import _require_finite, mean_matrix, simulate_paths_threaded, var_matrix
 from .svgplot import (entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
 from .xva import (perfect_terms, predefault_distribution, simulate_xva_paths,
@@ -230,8 +230,7 @@ def _cmd_simulate(args) -> int:
     params = _read_params(cfg)
     grid = cfg.grid()
     bundle = simulate_paths_threaded(
-        params, cfg.measure(), grid, cfg.get_int("sim.m", 1000), cfg.seed(),
-        store_w=False)
+        params, cfg.measure(), grid, cfg.get_int("sim.m", 1000), cfg.seed())
     labels = cfg.labels()
     rp = bundle.require_rpaths()
     outputs = []
@@ -282,23 +281,23 @@ def _cmd_ssa(args) -> int:
     measure = cfg.measure()
     seed = cfg.seed()
 
-    bundle = simulate_paths_threaded(params, measure, grid, m1, seed,
-                                     store_w=False)
+    bundle = simulate_paths_threaded(params, measure, grid, m1, seed)
     nested = {i0: sample_from_bundle(bundle, m2, i0, seed) for i0 in i0_list}
+    # occupancy frequencies (N+1, K) per initial rating, counted from the jump events
+    freqs = {i0: paths.occupancy.sum(0) / (m1 * m2) for i0, paths in nested.items()}
     outputs = []
-    states_by_i0 = {i0: paths.flat_states for i0, paths in nested.items()}
     for t in cfg.checkpoints():
-        emp, _ = empirical_transition(states_by_i0, float(t), grid, k)
-        np.nan_to_num(emp, copy=False)
-        if k not in i0_list:
-            emp[k - 1, k - 1] = 1.0
+        idx = grid.index_of(float(t))
+        emp = np.zeros((k, k))        # rows of unsampled ratings stay zero
+        emp[k - 1, k - 1] = 1.0
+        for i0, freq in freqs.items():
+            emp[i0 - 1] = freq[idx]
         name = f"occupancy_t{_fmt_time(float(t))}.csv"
         write_rating_csv(out / name, labels, emp)
         outputs.append(name)
 
     err = simulation_error(nested, grid.horizon)
-    for i0, paths in nested.items():
-        freq = paths.occupancy.sum(0) / (m1 * m2)
+    for i0, freq in freqs.items():
         name = f"occupancy_{labels[i0 - 1]}.svg"
         (out / name).write_text(
             occupancy_plot(grid.times, freq, labels, labels[i0 - 1]))
@@ -332,12 +331,17 @@ def _cmd_xva(args) -> int:
     cfg, out = _load(args)
     params = _read_params(cfg)
     grid = cfg.grid()
+    m = cfg.get_int("xva.m", 10000)
+    if m < 1:
+        raise ValidationError(f"{cfg.source}: xva.m must be >= 1, got {m}")
     paths = simulate_xva_paths(
-        params, cfg.measure(), grid, cfg.get_int("xva.m", 10000),
-        cfg.portfolio(), cfg.seed(),
+        params, cfg.measure(), grid, m, cfg.portfolio(), cfg.seed(),
         bank_rating=cfg.get_int("xva.bank_rating", 1),
         cpty_rating=cfg.get_int("xva.cpty_rating", 2))
+    _require_finite(paths.v, "portfolio values")
     results = xva_by_regime(paths, _regimes(cfg))
+    for name, r in results.items():
+        _require_finite(np.array([r.cva, r.dva, r.bva]), f"{name} CVA/DVA/BVA values")
     lines = ["regime,cva,dva,bva,cva_se,dva_se,bva_se,"
              "defaults_bank_first,defaults_cpty_first,defaults_simultaneous,no_default,m"]
     for name in ("none", "perfect", "triggers"):
@@ -421,6 +425,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"ratingsde: i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"ratingsde: error: out of memory{detail}", file=sys.stderr)
+        return 1
     except RatingSdeError as exc:
         print(f"ratingsde: error: {exc}", file=sys.stderr)
         return 1

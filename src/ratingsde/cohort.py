@@ -9,7 +9,7 @@ entry received and turns it into a variance target for calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

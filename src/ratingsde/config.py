@@ -203,4 +203,7 @@ class RunConfig:
         if not (np.isfinite(pts).all() and np.all(pts > 0)
                 and np.all(pts <= horizon + 1e-12)):
             raise ValidationError(f"{self.source}: checkpoints must lie in (0, horizon]")
+        if np.any(np.diff(pts) <= 0):
+            raise ValidationError(f"{self.source}: checkpoints must be strictly "
+                                  f"increasing, got {pts.tolist()}")
         return pts

@@ -31,8 +31,6 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
     Interval k carries the step-k coordinate increments divided by dt, so
     exp(gen_k * dt) reproduces the bundle's step factor exactly.
     """
-    if bundle.increments is None:
-        raise ValidationError("bundle carries no per-step increments")
     return coeffs_to_matrices(bundle.increments / bundle.grid.dt, bundle.k)
 
 
@@ -121,11 +119,8 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
 class NestedPaths:
     """M1 x M2 rating paths sampled from M1 matrix trajectories."""
 
-    i0: int
     m1: int
     m2: int
-    grid: TimeGrid
-    seed: int
     states: np.ndarray        # (M1, M2, N+1), 1-based ratings
     default_time: np.ndarray  # (M1, M2), nan = no default before horizon
     predefault: np.ndarray    # (M1, M2), 0 = no default
@@ -153,7 +148,7 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
     states, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, key,
                                   occupancy=occupancy)
     return NestedPaths(
-        i0=i0, m1=m1, m2=m2, grid=bundle.grid, seed=seed,
+        m1=m1, m2=m2,
         states=states.reshape(m1, m2, -1),
         default_time=dt_.reshape(m1, m2),
         predefault=pd_.reshape(m1, m2),
@@ -167,7 +162,7 @@ def nested_simulate(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     """Outer matrix simulation plus inner SSA sampling; deterministic in seed."""
     if m1 < 1:
         raise ValidationError(f"m1 must be >= 1, got {m1}")
-    bundle = simulate_paths(params, measure, grid, m1, seed, store_w=False)
+    bundle = simulate_paths(params, measure, grid, m1, seed)
     return sample_from_bundle(bundle, m2, i0, seed)
 
 

@@ -9,7 +9,7 @@ last row equal to the last unit vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 
@@ -19,7 +19,6 @@ from .errors import ValidationError
 
 # Defaults used across the library.
 ROW_SUM_TOL = 1e-10          # internally produced matrices
-PUBLISHED_TOL = 1e-3         # agency tables rounded to ~4 decimals
 GENERATOR_ROW_SUM_TOL = 1e-12
 
 
@@ -35,10 +34,6 @@ class BasisIndexMap:
 
     k: int
     pairs: tuple[tuple[int, int], ...]
-
-    def index_of(self, row: int, col: int) -> int:
-        """0-based coordinate index for a 1-based (row, col) pair."""
-        return self.pairs.index((row, col))
 
     def labels(self) -> list[str]:
         return [f"{r}-{c}" for r, c in self.pairs]
@@ -88,16 +83,15 @@ class AlgebraCoeffs:
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Row-stochastic K x K matrix with absorbing last state."""
+    """Row-stochastic K x K matrix with absorbing last state, to ROW_SUM_TOL."""
 
     k: int
     entries: np.ndarray
-    tol: float = field(default=ROW_SUM_TOL, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", m)
-        report = validate_stochastic(m, self.tol)
+        report = validate_stochastic(m)
         if not report.passed:
             raise ValidationError(f"not a stochastic matrix: {report.summary()}")
         if m.shape[0] != self.k:

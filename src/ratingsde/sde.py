@@ -30,6 +30,8 @@ from .errors import NumericalError, ValidationError
 from .lie import coeffs_to_matrices, expm_batch, n_coords
 
 MEASURE_KINDS = ("historical", "jlt", "exponential")
+# How far a time may lie from its nearest grid point in TimeGrid.index_of.
+_ON_GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,10 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         """Grid index of time t; raises if t is not a grid point."""
         idx = round(t / self.dt)
-        if idx < 0 or idx > self.steps or abs(idx * self.dt - t) > tol:
+        if idx < 0 or idx > self.steps or abs(idx * self.dt - t) > _ON_GRID_TOL:
             raise ValidationError(f"t={t} is not on the grid (dt={self.dt})")
         return int(idx)
 
@@ -157,21 +159,15 @@ def kappa_from_h(measure: MeasureChange, k: int) -> np.ndarray:
 class MatrixPathBundle:
     """Simulated trajectories of the rating-matrix process.
 
-    rpaths:       (M, N+1, K, K) matrices on the grid (R_0 = I), or None.
-    increments:   (M, N, (K-1)^2) nonnegative per-step generator coordinates.
-    w_increments: (M, N, (K-1)^2) Brownian increments of the simulating
-                  measure, or None.
+    rpaths:     (M, N+1, K, K) matrices on the grid (R_0 = I), or None.
+    increments: (M, N, (K-1)^2) nonnegative per-step generator coordinates.
     """
 
     k: int
     grid: TimeGrid
-    params: SdeParams
-    measure: MeasureChange
-    seed: int
     m: int
     increments: np.ndarray
     rpaths: np.ndarray | None = None
-    w_increments: np.ndarray | None = None
 
     def require_rpaths(self) -> np.ndarray:
         if self.rpaths is None:
@@ -255,7 +251,7 @@ def draw_noise(k: int, grid: TimeGrid, m: int, seed: int,
     return _counter_normals(_philox_key([seed, _NOISE_TAG]), index, grid.steps)
 
 
-def _noise(k: int, grid: TimeGrid, m: int, seed: int, noise: np.ndarray | None,
+def _noise(k: int, grid: TimeGrid, m: int, seed: int, noise: np.ndarray | None = None,
            traj_offset: int = 0) -> np.ndarray:
     """The given noise, shape-checked, or a fresh draw for trajectories
     traj_offset .. traj_offset + m - 1."""
@@ -334,8 +330,7 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                   m: int, seed: int, noise: np.ndarray | None = None,
-                   store_rpaths: bool = True, store_w: bool = True,
+                   m: int, seed: int, store_rpaths: bool = True,
                    traj_offset: int = 0) -> MatrixPathBundle:
     """Group-preserving Euler simulation of M rating-matrix trajectories.
 
@@ -345,7 +340,7 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     matrix is non-finite.
     """
     k = params.k
-    noise = _noise(k, grid, m, seed, noise, traj_offset)
+    noise = _noise(k, grid, m, seed, traj_offset=traj_offset)
     increments = _increments(params, measure, grid, noise)
     _require_finite(increments, "generator increments")
     rpaths = None
@@ -353,11 +348,7 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
         rpaths = np.empty((m, grid.steps + 1, k, k))
         _products(increments, k, rpaths)
         _require_finite(rpaths, "rating-matrix entries")
-    return MatrixPathBundle(
-        k=k, grid=grid, params=params, measure=measure, seed=seed, m=m,
-        increments=increments, rpaths=rpaths,
-        w_increments=noise * np.sqrt(grid.dt) if store_w else None,
-    )
+    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths)
 
 
 def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
@@ -376,41 +367,36 @@ _CHUNK = 256
 
 
 def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                            m: int, seed: int, **kwargs) -> MatrixPathBundle:
-    """simulate_paths over fixed chunks of 256 trajectories.
+                            m: int, seed: int) -> MatrixPathBundle:
+    """simulate_paths over fixed chunks of 256 trajectories, paths stored.
 
-    The first chunk fixes which arrays are stored; full (M, ...) arrays
-    are allocated then, and each chunk is copied into them and dropped
-    before the next is simulated, so at most one chunk is held beside the
-    result.  Every draw is keyed on its global trajectory index, so the
-    result equals a single simulate_paths call bit for bit.  The chunks
-    run one after another on the calling thread: a pool of 2 workers was
-    slower than 1.
+    The full (M, ...) arrays are allocated once; each chunk is copied into
+    them and dropped before the next is simulated, so at most one chunk is
+    held beside the result.  Every draw is keyed on its global trajectory
+    index, so the result equals a single simulate_paths call bit for bit.
+    The chunks run one after another on the calling thread: a pool of 2
+    workers was slower than 1.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    full = {}
+    k = params.k
+    increments = np.empty((m, grid.steps, n_coords(k)))
+    rpaths = np.empty((m, grid.steps + 1, k, k))
     for off in range(0, m, _CHUNK):
         part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
-                              traj_offset=off, **kwargs)
-        for name in ("increments", "rpaths", "w_increments"):
-            chunk = getattr(part, name)
-            if off == 0:
-                full[name] = None if chunk is None else np.empty((m, *chunk.shape[1:]))
-            if chunk is not None:
-                full[name][off:off + part.m] = chunk
-        del part, chunk              # hold no chunk while the next is simulated
-    return MatrixPathBundle(
-        k=params.k, grid=grid, params=params, measure=measure, seed=seed, m=m,
-        **full,
-    )
+                              traj_offset=off)
+        increments[off:off + part.m] = part.increments
+        rpaths[off:off + part.m] = part.rpaths
+        del part                     # hold no chunk while the next is simulated
+    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths)
 
 
 def girsanov_density(kappa: np.ndarray, w_increments: np.ndarray, grid: TimeGrid) -> np.ndarray | float:
     """Radon-Nikodym density L_T for a constant kernel.
 
-    L_T = exp(sum_i kappa_i W_T^i - |kappa|^2 T / 2), computed from stored
-    increments of shape (N, ncoord) or batched (M, N, ncoord).
+    L_T = exp(sum_i kappa_i W_T^i - |kappa|^2 T / 2), computed from Brownian
+    increments of shape (N, ncoord) or batched (M, N, ncoord), such as
+    draw_noise(...) * sqrt(dt) for the noise a simulation was driven by.
     """
     kappa = np.asarray(kappa, dtype=float)
     w = np.asarray(w_increments, dtype=float)

@@ -12,6 +12,8 @@ import numpy as np
 _PANEL_W = 220
 _PANEL_H = 160
 _MARGIN = 36
+_FAN_PATHS = 50      # trajectories drawn per trajectory_fans panel
+_HIST_BINS = 30      # bins per entry_histograms panel
 _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
            "#9467bd", "#8c564b", "#e377c2", "#7f7f7f"]
 
@@ -105,11 +107,11 @@ def _panel_grid(k: int):
     return origins, width, height
 
 
-def trajectory_fans(times: np.ndarray, rpaths: np.ndarray, labels: list[str],
-                    max_paths: int = 50) -> str:
-    """K x K lattice of per-entry trajectory fans; rpaths (M, N+1, K, K)."""
+def trajectory_fans(times: np.ndarray, rpaths: np.ndarray, labels: list[str]) -> str:
+    """K x K lattice of per-entry trajectory fans of the first _FAN_PATHS
+    trajectories; rpaths (M, N+1, K, K)."""
     m, _, k, _ = rpaths.shape
-    shown = min(m, max_paths)
+    shown = min(m, _FAN_PATHS)
     origins, width, height = _panel_grid(k)
     body = []
     for idx, (x0, y0) in enumerate(origins):
@@ -123,7 +125,7 @@ def trajectory_fans(times: np.ndarray, rpaths: np.ndarray, labels: list[str],
     return _svg(width, height, body)
 
 
-def entry_histograms(rt: np.ndarray, labels: list[str], bins: int = 30) -> str:
+def entry_histograms(rt: np.ndarray, labels: list[str]) -> str:
     """K x K lattice of terminal-entry histograms; rt (M, K, K)."""
     _, k, _ = rt.shape
     origins, width, height = _panel_grid(k)
@@ -131,11 +133,11 @@ def entry_histograms(rt: np.ndarray, labels: list[str], bins: int = 30) -> str:
     for idx, (x0, y0) in enumerate(origins):
         i, j = divmod(idx, k)
         vals = rt[:, i, j]
-        counts, edges = np.histogram(vals, bins=bins)
+        counts, edges = np.histogram(vals, bins=_HIST_BINS)
         panel = _Panel(x0, y0, (float(edges[0]), float(edges[-1])),
                        (0.0, float(max(counts.max(), 1))),
                        title=f"{labels[i]}-{labels[j]}")
-        for b in range(bins):
+        for b in range(_HIST_BINS):
             if counts[b] == 0:
                 continue
             xl = panel.px(edges[b])

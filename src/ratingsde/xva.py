@@ -12,14 +12,14 @@ zero throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import ValidationError
-from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
-                  _counter_normals, _counter_uniforms, _philox_key)
+from .sde import (MeasureChange, SdeParams, TimeGrid, _counter_normals,
+                  _counter_uniforms, _philox_key)
 from .ctmc import piecewise_generators, _ssa_batch
 
 _PORTFOLIO_STATIC_TAG = 0x90F
@@ -66,13 +66,15 @@ def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -
     Path p's normals are keyed on its index p.  Each finite-lifetime component is frozen at its lifetime: its
     increment over [t_k, t_{k+1}] has variance min(t_{k+1}, l) - min(t_k, l).
     """
-    sigmas, lifetimes = spec.draw_components()
     times = grid.times
-    # Per-step standard deviation of the aggregated increment.
+    # Per-step standard deviation of the aggregated increment.  Overflow
+    # gives non-finite values, which the callers' finite checks report.
     t0, t1 = times[:-1], times[1:]
-    var = np.full(grid.steps, sigmas[0] ** 2 * grid.dt)
-    for s, l in zip(sigmas[1:], lifetimes):
-        var += s ** 2 * np.maximum(0.0, np.minimum(t1, l) - np.minimum(t0, l))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigmas, lifetimes = spec.draw_components()
+        var = np.full(grid.steps, sigmas[0] ** 2 * grid.dt)
+        for s, l in zip(sigmas[1:], lifetimes):
+            var += s ** 2 * np.maximum(0.0, np.minimum(t1, l) - np.minimum(t0, l))
     z = _counter_normals(_philox_key([seed, _PORTFOLIO_PATH_TAG]),
                          np.arange(m)[:, None], grid.steps)[:, :, 0]
     v = np.empty((m, grid.steps + 1))
@@ -339,8 +341,7 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
     for off in range(0, m, _XVA_CHUNK):
         size = min(_XVA_CHUNK, m - off)
         bundle = simulate_paths(params, measure, grid, size, seed,
-                                store_rpaths=False, store_w=False,
-                                traj_offset=off)
+                                store_rpaths=False, traj_offset=off)
         gens = piecewise_generators(bundle)
         gen_index = np.arange(size)
         for party, x, tau, pre, i0 in (

@@ -27,7 +27,7 @@ from ratingsde.calibrate import HistCalibrationSpec
 from ratingsde.ctmc import _ssa_batch
 from ratingsde.datasets import (cohort_1y, data_path, pd_scenario,
                                 reconstructed_1y)
-from ratingsde.sde import _philox_key
+from ratingsde.sde import _philox_key, draw_noise
 
 from conftest import (ADJUSTED_PUBLISHED, DISTANCE_PUBLISHED, PRINT_TOL,
                       run_cli)
@@ -54,14 +54,14 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bundle_1000(calibrated_params):
     return simulate_paths_threaded(calibrated_params, HISTORICAL, GRID_FINE,
-                                   1000, SEED, store_w=False)
+                                   1000, SEED)
 
 
 @pytest.fixture(scope="module")
 def nested_p(calibrated_params):
     """One shared 100-trajectory bundle, 1000 SSA paths per initial rating."""
     bundle = simulate_paths(calibrated_params, HISTORICAL, GRID_FINE, 100,
-                            SEED, store_w=False)
+                            SEED)
     return {i0: sample_from_bundle(bundle, 1000, i0, SEED) for i0 in (1, 2, 3)}
 
 
@@ -143,15 +143,15 @@ def test_criterion_05_risk_neutral_fit(calibrated_params, case2_exponential):
                     f"= {ratio:.1f}x (need >= 10x)")
 
 
-def test_criterion_06_girsanov_martingale(calibrated_params):
+def test_criterion_06_girsanov_martingale():
     m = 100000
     grid = TimeGrid(1.0, 4)
     measure = MeasureChange(kind="jlt", h=np.array([0.5, 0.6, 0.7, 1.0]))
     kappa = kappa_from_h(measure, 4)
     assert np.linalg.norm(kappa) <= 2.0
-    bundle = simulate_paths(calibrated_params, measure, grid, m, 106,
-                            store_rpaths=False)
-    dens = girsanov_density(kappa, bundle.w_increments, grid)
+    # the Brownian increments that drive simulate_paths at this seed
+    w = draw_noise(4, grid, m, 106) * np.sqrt(grid.dt)
+    dens = girsanov_density(kappa, w, grid)
     dev = abs(dens.mean() - 1.0)
     tol = 3.0 * dens.std(ddof=1) / np.sqrt(m)
     ok = dev <= tol
@@ -236,7 +236,7 @@ def test_criterion_10_predefault_distribution(calibrated_params, nested_p,
 
     measure_q = MeasureChange(kind="exponential", h=case2_exponential.h)
     bundle_q = simulate_paths(calibrated_params, measure_q, GRID_FINE, 100,
-                              SEED, store_w=False)
+                              SEED)
     nested_q = {i0: sample_from_bundle(bundle_q, 1000, i0, SEED)
                 for i0 in (1, 2, 3)}
     dist_q = predefault_distribution(

@@ -155,7 +155,7 @@ class TestPropertyReport:
 
     def test_calibrated_bundle_small_early_violations(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 120), 300, 8, store_w=False)
+                                TimeGrid(1.0, 120), 300, 8)
         rep = property_report(bundle, [1 / 12, 0.25, 0.5, 1.0])
         late = [st for stats in rep.all_stats().values() for st in stats
                 if not isinstance(st.checkpoint, tuple) and st.checkpoint >= 0.25]

@@ -6,7 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
-from ratingsde import ValidationError
+from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
+                       empirical_transition, sample_from_bundle,
+                       simulate_paths_threaded)
+from ratingsde import cli
 from ratingsde.config import RunConfig, parse_config_text
 from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
@@ -269,6 +272,8 @@ class TestCliCommands:
         ("simulate", "grid.horizon = 1.0", "grid.horizon = inf"),
         ("simulate", "checkpoints = 0.25,0.5,1.0", "checkpoints = nan"),
         ("ssa", "checkpoints = 0.25,0.5,1.0", "checkpoints = 0.5,nan"),
+        ("simulate", "checkpoints = 0.25,0.5,1.0", "checkpoints = 0.5,0.25"),
+        ("simulate", "checkpoints = 0.25,0.5,1.0", "checkpoints = 0.5,0.5"),
         ("simulate", "labels = A,B,C,D", "labels = A,A,B,C"),
         ("xva", None, "portfolio.v0 = nan"),
     ])
@@ -326,6 +331,27 @@ class TestCliCommands:
         summary = json.loads((workdir / "g" / "run_summary.json").read_text())
         assert 0.0 < summary["simulation_error_t_horizon"] < 0.05
 
+    def test_ssa_occupancy_csv_equals_empirical_transition(self, workdir):
+        # the CSV rows come from the event-counted occupancy; they must equal
+        # the frequencies read off the sampled rating paths themselves
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "ssa.initial = 2,4\n")
+        res = run_cli("ssa", "--config", "run.cfg", "--out", "g", cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        _, a, b, sigma = read_params_csv(workdir / "params.csv")
+        grid = TimeGrid(1.0, 24)
+        bundle = simulate_paths_threaded(SdeParams(k=4, a=a, b=b, sigma=sigma),
+                                         HISTORICAL, grid, 10, 42)
+        states = {i0: sample_from_bundle(bundle, 40, i0, 42).flat_states
+                  for i0 in (2, 4)}
+        for t, tag in ((0.25, "0.25"), (0.5, "0.5"), (1.0, "1")):
+            _, written = read_rating_csv(workdir / "g" / f"occupancy_t{tag}.csv")
+            emp, present = empirical_transition(states, t, grid, 4)
+            assert present == [2, 4]
+            for i0 in present:
+                assert (written[i0 - 1] == emp[i0 - 1]).all(), (t, i0)
+            assert (written[3] == [0.0, 0.0, 0.0, 1.0]).all()
+
     def test_xva_report_regimes_and_identity(self, workdir):
         res = run_cli("xva", "--config", "run.cfg", "--out", "x", cwd=workdir)
         assert res.returncode == 0, res.stderr
@@ -339,6 +365,33 @@ class TestCliCommands:
         for vals in regimes.values():
             cva, dva, bva = vals[:3]
             assert bva == dva - cva
+
+    @pytest.mark.parametrize("line, code", [
+        ("xva.m = 0", 1),
+        ("portfolio.sigma_scale = inf", 2),
+    ])
+    def test_xva_empty_or_non_finite_run_writes_nothing(self, workdir, line, code):
+        cfg = workdir / "run.cfg"
+        text = cfg.read_text()
+        cfg.write_text(text.replace("xva.m = 60", line) if line.startswith("xva.m")
+                       else text + line + "\n")
+        res = run_cli("xva", "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == code, res.stderr
+        assert ("xva.m" if code == 1 else "non-finite") in res.stderr
+        assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
+    def test_out_of_memory_is_one_line(self, workdir, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", exhausted)
+        code = cli.main(["simulate", "--config", str(workdir / "run.cfg"),
+                         "--out", str(workdir / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("ratingsde: error: out of memory: "
+                       "Unable to allocate 8.00 EiB for an array\n")
 
     def test_report_summarizes_and_flags_missing(self, workdir):
         res = run_cli("reconstruct", "--config", "run.cfg", "--out", "r",

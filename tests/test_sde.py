@@ -98,15 +98,6 @@ class TestSimulatePaths:
         single = simulate_paths(calibrated_params, HISTORICAL, g, 600, 5)
         assert np.array_equal(chunked.require_rpaths(), single.require_rpaths())
         assert np.array_equal(chunked.increments, single.increments)
-        assert np.array_equal(chunked.w_increments, single.w_increments)
-
-    def test_chunked_without_stored_paths(self, calibrated_params):
-        g = TimeGrid(1.0, 15)
-        chunked = simulate_paths_threaded(calibrated_params, HISTORICAL, g, 300, 5,
-                                          store_rpaths=False, store_w=False)
-        single = simulate_paths(calibrated_params, HISTORICAL, g, 300, 5)
-        assert chunked.rpaths is None and chunked.w_increments is None
-        assert np.array_equal(chunked.increments, single.increments)
 
     def test_skipping_products_keeps_increments_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
@@ -115,7 +106,6 @@ class TestSimulatePaths:
                               store_rpaths=False)
         assert lean.rpaths is None
         assert np.array_equal(lean.increments, full.increments)
-        assert np.array_equal(lean.w_increments, full.w_increments)
 
     def test_non_finite_increments_raise(self):
         params = flat_params(4, 400.0, 3.0, 3.0)
@@ -206,10 +196,10 @@ class TestGirsanovDensity:
         l = girsanov_density(kappa, w, grid)
         assert abs(l.mean() - 1.0) <= 3.0 * l.std(ddof=1) / np.sqrt(l.size)
 
-    def test_density_from_bundle_increments(self, calibrated_params):
+    def test_density_from_bundle_increments(self):
         g = TimeGrid(1.0, 10)
-        bundle = simulate_paths(calibrated_params, HISTORICAL, g, 4, 13)
-        l = girsanov_density(np.zeros(9), bundle.w_increments, g)
+        w = draw_noise(4, g, 4, 13) * np.sqrt(g.dt)   # the W that drives a bundle
+        l = girsanov_density(np.zeros(9), w, g)
         assert np.array_equal(l, np.ones(4))
 
 
