@@ -1,7 +1,7 @@
 """ratingsde: rating-transition matrices as an SDE on the group of
 stochastic matrices — repair, calibration, simulation and XVA."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import NumericalError, RatingSdeError, ValidationError
 from .lie import (AlgebraCoeffs, BasisIndexMap, StochasticMatrix, ad,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ValidationError
 from .lie import basis_index_map, n_coords
@@ -239,6 +238,9 @@ def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
     drift shift varies.  Raises NumericalError if the residual at the
     start point is not finite.
     """
+    # imported here so that the other commands never load scipy
+    from scipy.optimize import least_squares
+
     if kind not in RN_BOUNDS:
         raise ValidationError(f"calibratable kinds are 'jlt' and 'exponential', got {kind!r}")
     grid = grid or default_grid()

@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -31,13 +33,14 @@ from .cohort import (CohortMatrix, WeightMatrix, proportional_weights, repair,
 from .config import RunConfig
 from .ctmc import sample_from_bundle, simulation_error
 from .errors import NumericalError, RatingSdeError, ValidationError
+from .lie import n_coords
 from .matio import (read_params_csv, read_pd_csv, read_rating_csv,
                     write_params_csv, write_rating_csv)
 from .sde import _require_finite, mean_matrix, simulate_paths_threaded, var_matrix
 from .svgplot import (entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
-from .xva import (perfect_terms, predefault_distribution, simulate_xva_paths,
-                  uncollateralized_terms, xva_by_regime)
+from .xva import (perfect_terms, posting_indices, predefault_distribution,
+                  simulate_xva_paths, uncollateralized_terms, xva_by_regime)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,6 +150,24 @@ def _read_targets(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return outputs.reconstructed, outputs.adjusted
 
 
+def _require_allocatable(cfg: RunConfig, keys: str, *arrays: tuple[int, ...]) -> None:
+    """Reject, before anything is drawn, a run whose largest array does not
+    fit in this machine's physical memory.  Each array is a tuple of its
+    dimensions and its item size in bytes; `keys` names the config keys
+    that size them."""
+    if any(d < 1 for a in arrays for d in a):
+        return                        # the commands' own checks reject these
+    nbytes = max(math.prod(a) for a in arrays)
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):     # no sysconf: numpy's limit
+        limit = np.iinfo(np.intp).max
+    if nbytes > limit:
+        raise ValidationError(
+            f"{cfg.source}: {keys} ask for an array of {nbytes} bytes, more "
+            f"than the {limit} bytes of memory on this machine")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -179,10 +200,13 @@ def _warn_unconverged(command: str, result) -> None:
 def _cmd_calibrate_hist(args) -> int:
     cfg, out = _load(args)
     rec, adj = _read_targets(cfg)
+    m, grid = cfg.get_int("hist.m", 1000), cfg.grid()
+    _require_allocatable(cfg, "hist.m and grid.steps_per_year",
+                         (m, grid.steps, n_coords(cfg.k), 8))
     spec = HistCalibrationSpec(
         target_rec=rec, target_adj=adj, seed=cfg.seed(),
         w1=cfg.get_float("hist.w1", 1.0), w2=cfg.get_float("hist.w2", 1.0),
-        m=cfg.get_int("hist.m", 1000), grid=cfg.grid(),
+        m=m, grid=grid,
         bound_lo=cfg.get_float("hist.bound_lo", 0.0),
         bound_hi=cfg.get_float("hist.bound_hi", 3.0),
     )
@@ -205,9 +229,11 @@ def _cmd_calibrate_rn(args) -> int:
     if len(pd_labels) != cfg.k:
         raise ValidationError(f"PD targets have {len(pd_labels)} rows, expected {cfg.k}")
     kind = cfg.get_str("measure.kind", required=True)
-    result = calibrate_risk_neutral(
-        params, kind, PdTargets(pds), grid=cfg.grid(),
-        m=cfg.get_int("rn.m", 1000), seed=cfg.seed())
+    m, grid = cfg.get_int("rn.m", 1000), cfg.grid()
+    _require_allocatable(cfg, "rn.m and grid.steps_per_year",
+                         (m, grid.steps, n_coords(cfg.k), 8))
+    result = calibrate_risk_neutral(params, kind, PdTargets(pds), grid=grid,
+                                    m=m, seed=cfg.seed())
     _warn_unconverged("calibrate-rn", result)
     lines = ["rating,h"]
     lines += [f"{lab},{format(hv, '.17g')}" for lab, hv in zip(cfg.labels(), result.h)]
@@ -229,8 +255,10 @@ def _cmd_simulate(args) -> int:
     cfg, out = _load(args)
     params = _read_params(cfg)
     grid = cfg.grid()
-    bundle = simulate_paths_threaded(
-        params, cfg.measure(), grid, cfg.get_int("sim.m", 1000), cfg.seed())
+    m = cfg.get_int("sim.m", 1000)
+    _require_allocatable(cfg, "sim.m and grid.steps_per_year",
+                         (m, grid.steps + 1, cfg.k, cfg.k, 8))
+    bundle = simulate_paths_threaded(params, cfg.measure(), grid, m, cfg.seed())
     labels = cfg.labels()
     rp = bundle.require_rpaths()
     outputs = []
@@ -270,6 +298,8 @@ def _cmd_ssa(args) -> int:
     k = cfg.k
     m1 = cfg.get_int("sim.m1", 100)
     m2 = cfg.get_int("sim.m2", 1000)
+    _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
+                         (m1, grid.steps + 1, k, k, 8), (m1, m2, grid.steps + 1, 1))
     initial = cfg.get_floats("ssa.initial")
     if initial is not None and (
             initial.size == 0 or np.any(initial != np.round(initial))
@@ -332,8 +362,12 @@ def _cmd_xva(args) -> int:
     params = _read_params(cfg)
     grid = cfg.grid()
     m = cfg.get_int("xva.m", 10000)
-    if m < 1:
-        raise ValidationError(f"{cfg.source}: xva.m must be >= 1, got {m}")
+    if m < 2:
+        raise ValidationError(f"{cfg.source}: xva.m must be >= 2, since the "
+                              f"standard errors need two scenarios, got {m}")
+    # posting dates off the grid are rejected before anything is drawn
+    posting_indices(grid, cfg.csa_terms().postings_per_year)
+    _require_allocatable(cfg, "xva.m and grid.steps_per_year", (m, grid.steps + 1, 8))
     paths = simulate_xva_paths(
         params, cfg.measure(), grid, m, cfg.portfolio(), cfg.seed(),
         bank_rating=cfg.get_int("xva.bank_rating", 1),

@@ -146,7 +146,11 @@ class RunConfig:
             raise ValidationError(f"{self.source}: grid.horizon must be finite, "
                                   f"got {horizon}")
         per_year = self.get_int("grid.steps_per_year", 120)
-        steps = round(horizon * per_year)
+        try:
+            steps = round(horizon * per_year)
+        except OverflowError as exc:
+            raise ValidationError(f"{self.source}: grid.steps_per_year = {per_year} "
+                                  "is out of range") from exc
         if steps < 1:
             raise ValidationError(f"{self.source}: grid resolves to zero steps")
         return TimeGrid(horizon=horizon, steps=steps)

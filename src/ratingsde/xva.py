@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
-from .sde import (MeasureChange, SdeParams, TimeGrid, _counter_normals,
-                  _counter_uniforms, _philox_key)
+from .sde import (MeasureChange, SdeParams, TimeGrid, _box_muller,
+                  _counter_normals, _counter_uniforms, _philox_key)
 from .ctmc import piecewise_generators, _ssa_batch
 
 _PORTFOLIO_STATIC_TAG = 0x90F
@@ -54,10 +53,13 @@ class PortfolioSpec:
     def draw_components(self) -> tuple[np.ndarray, np.ndarray]:
         """(volatilities including component 0, lifetimes for components 1..n).
 
-        Component i draws both from the Philox counter (i, 0)."""
+        Component i draws both from the Philox counter (i, 0): its
+        volatility by Box-Muller from words 0 and 1, its lifetime from word 2.
+        """
         key = _philox_key([self.seed, _PORTFOLIO_STATIC_TAG])
-        u_sigma, u_life, _, _ = _counter_uniforms(key, np.arange(self.n + 1), 0)
-        return self.sigma_scale * ndtri(u_sigma), self.horizon * u_life[1:]
+        u_radius, u_angle, u_life, _ = _counter_uniforms(key, np.arange(self.n + 1), 0)
+        z, _ = _box_muller(u_radius, u_angle)
+        return self.sigma_scale * z, self.horizon * u_life[1:]
 
 
 def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -> np.ndarray:
@@ -137,10 +139,15 @@ def threshold_of(party: str, rating: int, terms: CsaTerms) -> float:
 
 def posting_indices(grid: TimeGrid, postings_per_year: int) -> np.ndarray:
     """Grid indices of the posting dates (including t=0); must align exactly."""
-    n_post = round(grid.horizon * postings_per_year)
-    t_post = np.arange(n_post + 1) / postings_per_year
-    idx = np.rint(t_post / grid.dt).astype(np.int64)
-    if np.abs(idx * grid.dt - t_post).max() > 1e-9 or idx.max() > grid.steps:
+    # postings finer than the grid cannot align; checked first, since a
+    # huge count would not fit in a float or an array below
+    aligned = postings_per_year <= grid.steps / grid.horizon + 1e-9
+    if aligned:
+        n_post = round(grid.horizon * postings_per_year)
+        t_post = np.arange(n_post + 1) / postings_per_year
+        idx = np.rint(t_post / grid.dt).astype(np.int64)
+        aligned = np.abs(idx * grid.dt - t_post).max() <= 1e-9 and idx.max() <= grid.steps
+    if not aligned:
         raise ValidationError(
             f"posting dates ({postings_per_year}/year) are not a subset of the grid "
             f"({grid.steps} steps on [0,{grid.horizon}])"

@@ -1,7 +1,10 @@
 """CSV round-trips, config grammar, and the command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              write_rating_csv)
 from ratingsde.svgplot import _Panel, _points, trajectory_fans
 
-from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, run_cli
+from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, run_cli
 
 
 class TestMatIo:
@@ -275,6 +278,8 @@ class TestCliCommands:
         ("simulate", "checkpoints = 0.25,0.5,1.0", "checkpoints = 0.5,0.25"),
         ("simulate", "checkpoints = 0.25,0.5,1.0", "checkpoints = 0.5,0.5"),
         ("simulate", "labels = A,B,C,D", "labels = A,A,B,C"),
+        pytest.param("simulate", "grid.steps_per_year = 24",
+                     "grid.steps_per_year = 1" + "0" * 400, id="steps_per_year-1e400"),
         ("xva", None, "portfolio.v0 = nan"),
     ])
     def test_non_finite_or_duplicate_config_value_exits_one(self, workdir, command,
@@ -368,6 +373,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("line, code", [
         ("xva.m = 0", 1),
+        ("xva.m = 1", 1),           # one scenario has no standard error
         ("portfolio.sigma_scale = inf", 2),
     ])
     def test_xva_empty_or_non_finite_run_writes_nothing(self, workdir, line, code):
@@ -379,6 +385,26 @@ class TestCliCommands:
         assert res.returncode == code, res.stderr
         assert ("xva.m" if code == 1 else "non-finite") in res.stderr
         assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("simulate", "grid.steps_per_year = 24",
+         "grid.steps_per_year = 100000000000000000000"),
+        ("simulate", "sim.m = 40", "sim.m = 100000000000000"),
+        ("ssa", "sim.m2 = 40", "sim.m2 = 100000000000000"),
+        ("xva", "xva.m = 60", "xva.m = 100000000000000"),
+        ("calibrate-hist", None, "hist.m = 100000000000000"),
+        ("calibrate-rn", None, "rn.m = 100000000000000"),
+    ])
+    def test_impossible_size_exits_one(self, workdir, command, old, new):
+        cfg = workdir / "run.cfg"
+        text = cfg.read_text().replace("measure.kind = historical", "measure.kind = jlt")
+        cfg.write_text(text.replace(old, new) if old else text + new + "\n")
+        res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == 1, res.stderr
+        assert "validation error" in res.stderr and "bytes of memory" in res.stderr
+        assert new.split(" = ")[0] in res.stderr
+        assert "Traceback" not in res.stderr
         assert list((workdir / "o").iterdir()) == []
 
     def test_out_of_memory_is_one_line(self, workdir, monkeypatch, capsys):
@@ -419,6 +445,33 @@ class TestCliCommands:
         assert names == sorted(p.name for p in d8.iterdir())
         for name in names:
             assert (d1 / name).read_bytes() == (d8 / name).read_bytes(), name
+
+    def test_commands_other_than_calibrate_rn_never_import_scipy(self, workdir):
+        # a fresh interpreter: scipy costs most of the import time, and only
+        # calibrate-rn needs it (scipy.optimize)
+        script = (
+            "import json, sys\n"
+            "from ratingsde import cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "report = {'import': [0, loaded()]}\n"
+            "for command in sys.argv[1:]:\n"
+            "    code = cli.main([command, '--config', 'run.cfg', '--out', command])\n"
+            "    report[command] = [code, loaded()]\n"
+            "print(json.dumps(report))\n")
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("measure.kind = historical",
+                                               "measure.kind = jlt") + "rn.m = 20\n")
+        commands = ["simulate", "ssa", "xva", "calibrate-rn"]
+        env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+        res = subprocess.run([sys.executable, "-c", script, *commands], cwd=workdir,
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout.splitlines()[-1])
+        for stage in ["import", *commands[:-1]]:
+            assert report[stage] == [0, []], stage
+        code, modules = report["calibrate-rn"]
+        assert code == 0 and "scipy.optimize" in modules
 
     def test_seed_flag_overrides_config(self, workdir):
         for extra, out in (((), "a"), (("--seed", "43"), "b")):

@@ -1,5 +1,7 @@
 """Coefficient SDE, measure changes, geometric Euler scheme, densities."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,34 @@ class TestRngContract:
             assert np.array_equal(got, want)
         for c, b in zip(counter, before):
             assert np.array_equal(c, b)
+
+    def test_box_muller_cap_at_extreme_words(self, monkeypatch):
+        # the radius uniform is at least 2**-33, so |z| <= sqrt(66 ln 2)
+        cap = np.sqrt(66.0 * np.log(2.0))
+        top = 2 ** 32 - 1
+        largest = 0.0
+        for words in itertools.product((0, top), repeat=4):
+            def fixed(counter, key, words=words):
+                shape = np.broadcast_shapes(*(np.shape(c) for c in counter))
+                return tuple(np.full(shape, w, dtype=np.uint64) for w in words)
+
+            monkeypatch.setattr(sde, "_philox4x32", fixed)
+            z = sde._counter_normals((0, 0), np.zeros((1, 1), dtype=np.int64), 4)
+            assert np.isfinite(z).all()
+            assert np.abs(z).max() <= cap * (1.0 + 1e-12), words
+            largest = max(largest, np.abs(z).max())
+        assert largest >= cap * (1.0 - 1e-9)      # words (0, 0): r at its cap, cos 1
+
+    def test_box_muller_pairs_are_independent(self):
+        # steps 4i, 4i+1 and 4i+2, 4i+3 share a counter; within 3 standard
+        # errors the normals of a pair are uncorrelated, and so are their
+        # squares, which a radius or angle shared wrongly would correlate
+        z = draw_noise(4, TimeGrid(1.0, 120), 2000, 7)
+        first = np.concatenate([z[:, 0::4], z[:, 2::4]]).ravel()
+        second = np.concatenate([z[:, 1::4], z[:, 3::4]]).ravel()
+        bound = 3.0 / np.sqrt(first.size)
+        assert abs(np.corrcoef(first, second)[0, 1]) <= bound
+        assert abs(np.corrcoef(first ** 2, second ** 2)[0, 1]) <= bound
 
 
 def test_default_grid_steps():

@@ -9,6 +9,8 @@ from ratingsde import (HISTORICAL, CsaTerms, PortfolioSpec, TimeGrid,
                        simulate_portfolio, simulate_xva_paths, threshold_of,
                        uncollateralized_terms, xva_by_regime)
 from ratingsde import xva
+from ratingsde.xva import posting_indices
+from ratingsde.sde import _counter_uniforms, _philox_key
 
 
 GRID = TimeGrid(1.0, 12)
@@ -34,6 +36,17 @@ class TestSimulatePortfolio:
         spec = PortfolioSpec(seed=3)
         v12 = simulate_portfolio(spec, GRID, 12, 6)
         assert np.array_equal(simulate_portfolio(spec, GRID, 5, 6), v12[:5])
+
+    def test_components_draw_on_disjoint_words(self):
+        # volatility by Box-Muller from words 0 and 1 of counter (i, 0),
+        # lifetime from word 2
+        spec = PortfolioSpec(n=24, sigma_scale=10.0, horizon=2.0, seed=4)
+        sigmas, lifetimes = spec.draw_components()
+        key = _philox_key([4, xva._PORTFOLIO_STATIC_TAG])
+        u = _counter_uniforms(key, np.arange(25), 0)
+        assert np.array_equal(lifetimes, 2.0 * u[2][1:])
+        r = np.sqrt(-2.0 * np.log(u[0]))
+        assert np.array_equal(sigmas, 10.0 * (r * np.cos(2.0 * np.pi * u[1])))
 
     def test_terminal_variance_matches_frozen_components(self):
         spec = PortfolioSpec(n=24, sigma_scale=10.0, seed=4)
@@ -99,6 +112,12 @@ class TestCollateralPath:
         with pytest.raises(ValidationError):
             collateral_path(np.zeros(13), np.ones(13, dtype=int),
                             np.ones(13, dtype=int), t, GRID)
+
+    def test_postings_finer_than_the_grid_are_rejected(self):
+        # checked before the dates are built: 10**400 does not fit in a float
+        for ppy in (24, 10 ** 400):
+            with pytest.raises(ValidationError, match="not a subset of the grid"):
+                posting_indices(GRID, ppy)
 
 
 def _hand_paths():
