@@ -91,15 +91,14 @@ class HistCalibrationSpec:
 
 
 def hist_residual(params: SdeParams, spec: HistCalibrationSpec,
-                  noise: np.ndarray | None = None) -> np.ndarray:
-    """Stacked residual [w1*(mean - rec), w2*(var - variance target)], row-major."""
+                  noise: np.ndarray) -> np.ndarray:
+    """Stacked residual [w1*(mean - rec), w2*(var - variance target)], row-major,
+    on the frozen noise of the calibration."""
     if params.k != spec.k:
         raise ValidationError(f"params k={params.k} but spec k={spec.k}")
-    if noise is None:
-        noise = draw_noise(spec.k, spec.grid, spec.m, spec.seed)
-    rt = simulate_terminal(params, HISTORICAL, spec.grid, spec.m, spec.seed, noise=noise)
+    rt = simulate_terminal(params, HISTORICAL, spec.grid, noise)
     mean = rt.mean(axis=0)
-    var = rt.var(axis=0, ddof=1) if spec.m > 1 else np.zeros_like(mean)
+    var = rt.var(axis=0, ddof=1) if len(rt) > 1 else np.zeros_like(mean)
     f1 = (mean - spec.target_rec).ravel()
     f2 = (var - spec.variance_target).ravel()
     return np.concatenate([spec.w1 * f1, spec.w2 * f2])
@@ -189,7 +188,7 @@ def calibrate_historical(spec: HistCalibrationSpec,
     noise = draw_noise(spec.k, spec.grid, spec.m, spec.seed)
 
     def fun(p):
-        return hist_residual(SdeParams.from_stacked(spec.k, p), spec, noise=noise)
+        return hist_residual(SdeParams.from_stacked(spec.k, p), spec, noise)
 
     lo = np.full(3 * nc, spec.bound_lo)
     hi = np.full(3 * nc, spec.bound_hi)
@@ -207,16 +206,12 @@ def _measure_for(kind: str, h_free: np.ndarray) -> MeasureChange:
 
 
 def rn_residual(h_free: np.ndarray, params: SdeParams, kind: str,
-                targets: PdTargets, grid: TimeGrid, m: int, seed: int,
-                noise: np.ndarray | None = None) -> np.ndarray:
-    """Mean simulated default column at the horizon minus the PD targets."""
-    k = params.k
-    if targets.k != k:
-        raise ValidationError(f"targets have length {targets.k}, expected {k}")
-    measure = _measure_for(kind, h_free)
-    if noise is None:
-        noise = draw_noise(k, grid, m, seed)
-    rt = simulate_terminal(params, measure, grid, m, seed, noise=noise)
+                targets: PdTargets, grid: TimeGrid, noise: np.ndarray) -> np.ndarray:
+    """Mean simulated default column at the horizon minus the PD targets,
+    on the frozen noise of the calibration."""
+    if targets.k != params.k:
+        raise ValidationError(f"targets have length {targets.k}, expected {params.k}")
+    rt = simulate_terminal(params, _measure_for(kind, h_free), grid, noise)
     return rt[:, :, -1].mean(axis=0) - targets.values
 
 
@@ -247,13 +242,11 @@ def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
     k = params.k
     noise = draw_noise(k, grid, m, seed)
     start = np.ones(k - 1)
-    _require_finite(rn_residual(start, params, kind, targets, grid, m, seed,
-                                noise=noise), "residuals at the start point")
+    _require_finite(rn_residual(start, params, kind, targets, grid, noise),
+                    "residuals at the start point")
 
     res = least_squares(
-        rn_residual, start,
-        args=(params, kind, targets, grid, m, seed),
-        kwargs={"noise": noise},
+        rn_residual, start, args=(params, kind, targets, grid, noise),
         bounds=RN_BOUNDS[kind], method="trf", diff_step=1e-6, xtol=1e-10, ftol=1e-10, gtol=1e-10,
     )
     return RnCalibrationResult(
@@ -348,22 +341,6 @@ def property_report(bundle: MatrixPathBundle, checkpoints: list[float]) -> Prope
                           downgrade_dominance=ud_stats,
                           monotone_default_column=mono_stats,
                           decreasing_diagonal=dec_stats)
-
-
-def static_property_check(matrix: np.ndarray) -> dict[str, bool]:
-    """The three single-time properties for one matrix (no time axis)."""
-    r = np.asarray(matrix, dtype=float)
-    k = r.shape[0]
-    diag = np.diag(r)
-    off_sum = r.sum(axis=1) - diag
-    iu = np.triu_indices(k, 1)
-    il = np.tril_indices(k, -1)
-    col = r[:, -1]
-    return {
-        "diagonal_dominance": bool(np.all(diag + PROPERTY_TOL >= off_sum)),
-        "downgrade_dominance": bool(r[iu].sum() + PROPERTY_TOL >= r[il].sum()),
-        "monotone_default_column": bool(np.all(np.diff(col) >= -PROPERTY_TOL)),
-    }
 
 
 def coordinate_labels(k: int) -> list[str]:

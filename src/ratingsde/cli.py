@@ -368,8 +368,11 @@ def _cmd_xva(args) -> int:
     # posting dates off the grid are rejected before anything is drawn
     posting_indices(grid, cfg.csa_terms().postings_per_year)
     _require_allocatable(cfg, "xva.m and grid.steps_per_year", (m, grid.steps + 1, 8))
+    portfolio = cfg.portfolio()
+    # draw_components holds 13.1 words per component (tracemalloc, n = 10^6)
+    _require_allocatable(cfg, "portfolio.n", (portfolio.n + 1, 14, 8))
     paths = simulate_xva_paths(
-        params, cfg.measure(), grid, m, cfg.portfolio(), cfg.seed(),
+        params, cfg.measure(), grid, m, portfolio, cfg.seed(),
         bank_rating=cfg.get_int("xva.bank_rating", 1),
         cpty_rating=cfg.get_int("xva.cpty_rating", 2))
     _require_finite(paths.v, "portfolio values")

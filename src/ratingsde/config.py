@@ -1,26 +1,36 @@
 """Flat dotted-key run configuration.
 
 Grammar: one `key = value` pair per line; keys are dotted lowercase
-identifiers (e.g. ``grid.steps_per_year``); blank lines and lines
-starting with ``#`` are ignored.  Values are scalars or comma-separated
-lists; ``inf`` is accepted where a threshold may be unbounded.  Relative
-file paths resolve against the config file's directory.
+identifiers from KNOWN_KEYS (e.g. ``grid.steps_per_year``); blank lines
+and lines starting with ``#`` are ignored.  Values are scalars or
+comma-separated lists; ``inf`` is accepted where a threshold may be
+unbounded.  Relative file paths resolve against the config file's directory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .lie import n_coords
-from .sde import MeasureChange, SdeParams, TimeGrid
+from .sde import DEFAULT_STEPS_PER_YEAR, MeasureChange, SdeParams, TimeGrid
 from .xva import CsaTerms, PortfolioSpec
 
 _KEY_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
+# Every key a getter reads.  One file may feed several commands, so a key
+# that no command reads is the only kind rejected as a typo.
+KNOWN_KEYS = frozenset("""
+    labels seed checkpoints grid.horizon grid.steps_per_year measure.kind measure.h
+    paths.cohort paths.reconstructed paths.adjusted paths.params paths.pd_targets
+    weights.kind weights.file hist.m hist.w1 hist.w2 hist.bound_lo hist.bound_hi
+    hist.max_iter rn.m sim.m sim.m1 sim.m2 ssa.initial xva.m xva.bank_rating
+    xva.cpty_rating csa.thresholds_bank csa.thresholds_cpty csa.lgd_bank
+    csa.lgd_cpty csa.postings_per_year portfolio.v0 portfolio.n
+    portfolio.sigma_scale portfolio.seed""".split())
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -44,12 +54,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 @dataclass
 class RunConfig:
-    """Typed access to a parsed config plus the values actually consumed."""
+    """Typed access to a parsed config."""
 
     values: dict[str, str]
     base_dir: Path
     source: str = "<config>"
-    consumed: set = field(default_factory=set)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -58,14 +67,17 @@ class RunConfig:
             text = path.read_text()
         except OSError as exc:
             raise OSError(f"cannot read config {path}: {exc}") from exc
-        return cls(values=parse_config_text(text, str(path)),
-                   base_dir=path.parent, source=str(path))
+        values = parse_config_text(text, str(path))
+        unknown = sorted(values.keys() - KNOWN_KEYS)
+        if unknown:
+            raise ValidationError(f"{path}: unknown key(s) {', '.join(unknown)}; "
+                                  "no command reads them")
+        return cls(values=values, base_dir=path.parent, source=str(path))
 
     # -- raw getters ------------------------------------------------------
 
     def _raw(self, key: str, default=None, required: bool = False) -> str | None:
         if key in self.values:
-            self.consumed.add(key)
             return self.values[key]
         if required:
             raise ValidationError(f"{self.source}: missing required key {key!r}")
@@ -145,7 +157,7 @@ class RunConfig:
         if not math.isfinite(horizon):
             raise ValidationError(f"{self.source}: grid.horizon must be finite, "
                                   f"got {horizon}")
-        per_year = self.get_int("grid.steps_per_year", 120)
+        per_year = self.get_int("grid.steps_per_year", DEFAULT_STEPS_PER_YEAR)
         try:
             steps = round(horizon * per_year)
         except OverflowError as exc:
@@ -188,7 +200,9 @@ class RunConfig:
             thresholds_cpty=cpty,
             lgd_bank=self.get_float("csa.lgd_bank", 0.6),
             lgd_cpty=self.get_float("csa.lgd_cpty", 0.6),
-            postings_per_year=self.get_int("csa.postings_per_year", 365),
+            postings_per_year=self.get_int(
+                "csa.postings_per_year",
+                self.get_int("grid.steps_per_year", DEFAULT_STEPS_PER_YEAR)),
         )
 
     def portfolio(self) -> PortfolioSpec:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lie import coeffs_to_matrices
-from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
-                  simulate_paths, _counter_uniforms, _philox_key)
+from .sde import MatrixPathBundle, TimeGrid, _counter_uniforms, _philox_key
 
 _SSA_STREAM_TAG = 0x55A
 
@@ -155,15 +154,6 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
         occupancy=occupancy,
         bundle=bundle,
     )
-
-
-def nested_simulate(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                    m1: int, m2: int, i0: int, seed: int) -> NestedPaths:
-    """Outer matrix simulation plus inner SSA sampling; deterministic in seed."""
-    if m1 < 1:
-        raise ValidationError(f"m1 must be >= 1, got {m1}")
-    bundle = simulate_paths(params, measure, grid, m1, seed)
-    return sample_from_bundle(bundle, m2, i0, seed)
 
 
 def empirical_transition(states_by_i0: dict[int, np.ndarray], t: float,

@@ -64,24 +64,6 @@ def _coord_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class AlgebraCoeffs:
-    """Nonnegative coordinates of a generator in the canonical basis."""
-
-    k: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if c.shape != (n_coords(self.k),):
-            raise ValidationError(
-                f"expected {n_coords(self.k)} coefficients, got shape {c.shape}"
-            )
-        if np.any(c < 0):
-            raise ValidationError("generator coefficients must be nonnegative")
-
-
-@dataclass(frozen=True)
 class StochasticMatrix:
     """Row-stochastic K x K matrix with absorbing last state, to ROW_SUM_TOL."""
 
@@ -159,10 +141,6 @@ def coeffs_to_matrices(coeffs: np.ndarray, k: int) -> np.ndarray:
     diag = np.arange(k)
     m[..., diag, diag] = -m.sum(axis=-1)
     return m
-
-
-def algebra_from_coeffs(c: AlgebraCoeffs) -> np.ndarray:
-    return coeffs_to_matrices(c.coeffs, c.k)
 
 
 # Degree-8 Taylor series of exp(X) for X >= 0 with ||X||_inf <= THETA: the

@@ -261,21 +261,6 @@ def draw_noise(k: int, grid: TimeGrid, m: int, seed: int,
     return _counter_normals(_philox_key([seed, _NOISE_TAG]), index, grid.steps)
 
 
-def _noise(k: int, grid: TimeGrid, m: int, seed: int, noise: np.ndarray | None = None,
-           traj_offset: int = 0) -> np.ndarray:
-    """The given noise, shape-checked, or a fresh draw for trajectories
-    traj_offset .. traj_offset + m - 1."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if noise is None:
-        return draw_noise(k, grid, m, seed, traj_offset)
-    noise = np.asarray(noise, dtype=float)
-    shape = (m, grid.steps, n_coords(k))
-    if noise.shape != shape:
-        raise ValidationError(f"noise must have shape {shape}, got {noise.shape}")
-    return noise
-
-
 def _increments(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                 noise: np.ndarray) -> np.ndarray:
     """Generator increments dA_k = |Y_k|^a dt, shape (M, N, ncoord).
@@ -349,8 +334,10 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     paths are stored.  Raises NumericalError if any increment or stored
     matrix is non-finite.
     """
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
     k = params.k
-    noise = _noise(k, grid, m, seed, traj_offset=traj_offset)
+    noise = draw_noise(k, grid, m, seed, traj_offset)
     increments = _increments(params, measure, grid, noise)
     _require_finite(increments, "generator increments")
     rpaths = None
@@ -362,13 +349,17 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
 
 
 def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                      m: int, seed: int, noise: np.ndarray | None = None) -> np.ndarray:
-    """Terminal matrices R_T only, shape (M, K, K); used by calibration loops.
+                      noise: np.ndarray) -> np.ndarray:
+    """Terminal matrices R_T only, shape (M, K, K), driven by the frozen
+    noise (M, N, ncoord) of draw_noise; used by the calibration loops.
 
     Same stepping as simulate_paths.  Non-finite values are returned, not
     raised: the calibration loops reject trial points with a NaN residual.
     """
-    noise = _noise(params.k, grid, m, seed, noise)
+    steps, nc = grid.steps, n_coords(params.k)
+    if noise.ndim != 3 or noise.shape[1:] != (steps, nc) or noise.shape[0] < 1:
+        raise ValidationError(f"noise must have shape (M >= 1, {steps}, {nc}), "
+                              f"got {noise.shape}")
     return _products(_increments(params, measure, grid, noise), params.k)
 
 

@@ -127,16 +127,6 @@ def perfect_terms(k: int, lgd_bank: float = 0.6, lgd_cpty: float = 0.6,
     return CsaTerms(zero, zero, lgd_bank, lgd_cpty, postings_per_year)
 
 
-def threshold_of(party: str, rating: int, terms: CsaTerms) -> float:
-    """Threshold lookup for party 'B' (bank) or 'C' (counterparty)."""
-    if party not in ("B", "C"):
-        raise ValidationError(f"party must be 'B' or 'C', got {party!r}")
-    if not 1 <= rating <= terms.k:
-        raise ValidationError(f"rating must be in 1..{terms.k}, got {rating}")
-    table = terms.thresholds_bank if party == "B" else terms.thresholds_cpty
-    return float(table[rating - 1])
-
-
 def posting_indices(grid: TimeGrid, postings_per_year: int) -> np.ndarray:
     """Grid indices of the posting dates (including t=0); must align exactly."""
     # postings finer than the grid cannot align; checked first, since a
@@ -283,9 +273,6 @@ class PredefaultDistribution:
 
     matrix: np.ndarray        # (K, K), rows = initial rating, normalized by all defaults
     total_defaults: int
-
-    def by_predefault(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
 
 
 def predefault_distribution(groups: dict[int, np.ndarray], k: int) -> PredefaultDistribution:

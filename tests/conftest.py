@@ -54,14 +54,16 @@ def calibrated_params() -> SdeParams:
 SRC_ROOT = Path(ratingsde.__file__).resolve().parents[1]
 
 
-def run_cli(*args, cwd) -> subprocess.CompletedProcess:
+def run_cli(*args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
     """Run ``python -m ratingsde.cli *args`` in a separate process from ``cwd``.
 
     The child imports the same ``ratingsde`` as this process: ``SRC_ROOT``
     goes first on its ``PYTHONPATH``, ahead of any inherited entries, so a
     relative entry such as ``src`` need not resolve from ``cwd``.
+    ``preexec_fn`` runs in the child before it starts.
     """
     pythonpath = filter(None, (str(SRC_ROOT), os.environ.get("PYTHONPATH")))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
     return subprocess.run([sys.executable, "-m", "ratingsde.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          preexec_fn=preexec_fn)

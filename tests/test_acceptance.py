@@ -277,4 +277,4 @@ def test_criterion_11_cli_determinism(tmp_path):
         for other in ("r2", "r8") for n in names)
     ok = identical and len(names) >= 10
     _verdict(11, ok, f"{len(names)} pipeline artifacts byte-identical across "
-                     f"a rerun and across 1 vs 8 worker threads: {identical}")
+                     f"a rerun and a `--threads 8` run: {identical}")

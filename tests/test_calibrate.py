@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
-                       property_report, simulate_paths)
+from ratingsde import (HISTORICAL, MatrixPathBundle, SdeParams, TimeGrid,
+                       ValidationError, property_report, simulate_paths)
 from ratingsde.calibrate import (HistCalibrationSpec, PdTargets,
                                  calibrate_historical, calibrate_risk_neutral,
-                                 coordinate_labels, hist_residual, rn_residual,
-                                 static_property_check)
+                                 coordinate_labels, hist_residual, rn_residual)
 from ratingsde.datasets import annual_example, pd_scenario
 from ratingsde.sde import draw_noise, simulate_terminal
 
@@ -39,10 +38,11 @@ class TestHistResidual:
         # deterministic model: generate the target from the model itself
         params = flat_params(4, 1.0, 0.2, 0.0)
         grid = TimeGrid(1.0, 40)
-        rt = simulate_terminal(params, HISTORICAL, grid, 2, 0)
+        noise = draw_noise(4, grid, 2, 0)
+        rt = simulate_terminal(params, HISTORICAL, grid, noise)
         spec = HistCalibrationSpec(target_rec=rt[0], target_adj=rt[0],
                                    seed=0, m=2, grid=grid)
-        r = hist_residual(params, spec)
+        r = hist_residual(params, spec, noise)
         assert np.abs(r).max() <= 1e-14
 
     def test_zero_volatility_f2_block(self, cohort, reconstructed):
@@ -52,7 +52,7 @@ class TestHistResidual:
         spec = HistCalibrationSpec(target_rec=reconstructed, target_adj=adj,
                                    seed=3, m=4, grid=TimeGrid(1.0, 10))
         params = flat_params(4, 1.0, 0.0, 0.0)
-        r = hist_residual(params, spec)
+        r = hist_residual(params, spec, draw_noise(4, spec.grid, 4, 3))
         f2 = r[16:]
         assert np.allclose(f2, -spec.variance_target.ravel(), atol=1e-12)
 
@@ -61,8 +61,9 @@ class TestHistResidual:
         spec = HistCalibrationSpec(target_rec=reconstructed,
                                    target_adj=reconstructed, seed=7, m=50,
                                    grid=TimeGrid(1.0, 12))
-        r1 = hist_residual(calibrated_params, spec)
-        r2 = hist_residual(calibrated_params, spec)
+        noise = draw_noise(4, spec.grid, spec.m, spec.seed)
+        r1 = hist_residual(calibrated_params, spec, noise)
+        r2 = hist_residual(calibrated_params, spec, noise.copy())
         assert np.array_equal(r1, r2)
 
 
@@ -71,7 +72,7 @@ class TestCalibrateHistorical:
         # sigma = 0: target generated by known parameters, then refit
         truth = flat_params(2, 1.0, 0.4, 0.0)
         grid = TimeGrid(1.0, 30)
-        rt = simulate_terminal(truth, HISTORICAL, grid, 2, 0)
+        rt = simulate_terminal(truth, HISTORICAL, grid, draw_noise(2, grid, 2, 0))
         spec = HistCalibrationSpec(target_rec=rt[0], target_adj=rt[0],
                                    seed=0, m=2, grid=grid)
         start = flat_params(2, 1.0, 0.3, 0.0)
@@ -105,24 +106,24 @@ class TestRnResidual:
     def test_self_targeting_historical_is_zero(self, calibrated_params):
         grid = TimeGrid(1.0, 20)
         noise = draw_noise(4, grid, 100, 3)
-        rt = simulate_terminal(calibrated_params, HISTORICAL, grid, 100, 3,
-                               noise=noise)
+        rt = simulate_terminal(calibrated_params, HISTORICAL, grid, noise)
         targets = PdTargets(np.append(rt[:, :3, -1].mean(axis=0), 1.0))
         r = rn_residual(np.ones(3), calibrated_params, "historical", targets,
-                        grid, 100, 3, noise=noise)
+                        grid, noise)
         assert np.abs(r).max() <= 1e-14
 
     def test_last_component_always_zero(self, calibrated_params):
         grid = TimeGrid(1.0, 10)
         r = rn_residual(np.ones(3), calibrated_params, "exponential",
-                        PdTargets(pd_scenario(1)), grid, 20, 0)
+                        PdTargets(pd_scenario(1)), grid, draw_noise(4, grid, 20, 0))
         assert r[-1] == 0.0
 
     def test_exponential_rejects_zero_h(self, calibrated_params):
+        grid = TimeGrid(1.0, 5)
         with pytest.raises(ValidationError):
             rn_residual(np.array([0.0, 1.0, 1.0]), calibrated_params,
-                        "exponential", PdTargets(pd_scenario(1)),
-                        TimeGrid(1.0, 5), 5, 0)
+                        "exponential", PdTargets(pd_scenario(1)), grid,
+                        draw_noise(4, grid, 5, 0))
 
 
 class TestCalibrateRiskNeutral:
@@ -150,8 +151,13 @@ class TestPropertyReport:
                 assert st.violation_fraction == 0.0
 
     def test_published_matrix_static_properties(self):
-        checks = static_property_check(annual_example())
-        assert all(checks.values())
+        # one trajectory that jumps from I to the published matrix
+        rpaths = np.stack([np.eye(4), annual_example()])[None]
+        bundle = MatrixPathBundle(k=4, grid=TimeGrid(1.0, 1), m=1,
+                                  increments=np.zeros((1, 1, 9)), rpaths=rpaths)
+        rep = property_report(bundle, [1.0])
+        for stats in rep.all_stats().values():
+            assert all(st.violation_fraction == 0.0 for st in stats)
 
     def test_calibrated_bundle_small_early_violations(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,

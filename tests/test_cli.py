@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        empirical_transition, sample_from_bundle,
                        simulate_paths_threaded)
 from ratingsde import cli
-from ratingsde.config import RunConfig, parse_config_text
+from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              read_rating_csv, write_params_csv, write_pd_csv,
@@ -395,17 +396,68 @@ class TestCliCommands:
         ("xva", "xva.m = 60", "xva.m = 100000000000000"),
         ("calibrate-hist", None, "hist.m = 100000000000000"),
         ("calibrate-rn", None, "rn.m = 100000000000000"),
+        ("xva", None, "portfolio.n = 1000000000"),
     ])
     def test_impossible_size_exits_one(self, workdir, command, old, new):
+        # under a 2 GiB address-space cap a missed size check fails fast with
+        # a MemoryError instead of paging the machine
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
         cfg = workdir / "run.cfg"
         text = cfg.read_text().replace("measure.kind = historical", "measure.kind = jlt")
         cfg.write_text(text.replace(old, new) if old else text + new + "\n")
-        res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
+        res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir,
+                      preexec_fn=cap_memory)
         assert res.returncode == 1, res.stderr
         assert "validation error" in res.stderr and "bytes of memory" in res.stderr
         assert new.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
         assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["reconstruct", "calibrate-hist",
+                                         "calibrate-rn", "simulate", "ssa", "xva"])
+    def test_unknown_key_exits_one_and_writes_nothing(self, workdir, command):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "sim.mm = 5\n")
+        res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == 1, res.stderr
+        assert "unknown key(s) sim.mm" in res.stderr
+        assert not (workdir / "o").exists()
+
+    def test_every_key_read_is_known(self, workdir, monkeypatch):
+        read = set()
+        raw = RunConfig._raw
+
+        def recording(self, key, *args, **kwargs):
+            read.add(key)
+            return raw(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(RunConfig, "_raw", recording)
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("measure.kind = historical",
+                                               "measure.kind = jlt")
+                       + "hist.m = 20\nhist.max_iter = 1\nrn.m = 20\n")
+        for command in ("reconstruct", "calibrate-hist", "calibrate-rn",
+                        "simulate", "ssa", "xva"):
+            code = cli.main([command, "--config", str(cfg),
+                             "--out", str(workdir / command)])
+            assert code == 0, command
+        assert read <= KNOWN_KEYS, read - KNOWN_KEYS
+        # weights.file is read only with weights.kind = file
+        assert KNOWN_KEYS - read == {"weights.file"}
+
+    def test_xva_runs_on_default_postings(self, workdir):
+        # csa.postings_per_year defaults to grid.steps_per_year
+        res = run_cli("xva", "--config", "run.cfg", "--out", "explicit", cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("csa.postings_per_year = 24\n", ""))
+        res = run_cli("xva", "--config", "run.cfg", "--out", "default", cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        for name in ("xva_report.csv", "predefault.csv"):
+            assert ((workdir / "default" / name).read_bytes()
+                    == (workdir / "explicit" / name).read_bytes())
 
     def test_out_of_memory_is_one_line(self, workdir, monkeypatch, capsys):
         def exhausted(args):
@@ -434,7 +486,7 @@ class TestCliCommands:
         assert res.returncode == 1
         assert "xva_report.csv" in res.stderr
 
-    def test_pipeline_byte_identical_across_threads(self, workdir):
+    def test_pipeline_rerun_is_byte_identical(self, workdir):
         for threads, out in (("1", "d1"), ("8", "d8")):
             for cmd in ("reconstruct", "simulate", "ssa", "xva"):
                 res = run_cli(cmd, "--config", "run.cfg", "--out", out,

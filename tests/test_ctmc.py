@@ -6,8 +6,8 @@ from scipy import stats
 from scipy.linalg import expm
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
-                       empirical_transition, nested_simulate,
-                       piecewise_generators, simulate_paths, simulation_error)
+                       empirical_transition, piecewise_generators,
+                       simulate_paths, simulation_error)
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import expm_batch
 from ratingsde.sde import _philox_key
@@ -17,6 +17,12 @@ def flat_params(k, a, b, sigma):
     nc = (k - 1) ** 2
     return SdeParams(k=k, a=np.full(nc, a), b=np.full(nc, b),
                      sigma=np.full(nc, sigma))
+
+
+def nested_simulate(params, grid, m1, m2, i0, seed):
+    """m2 rating paths from i0 on each of m1 matrix trajectories, as `ssa` runs."""
+    bundle = simulate_paths(params, HISTORICAL, grid, m1, seed)
+    return sample_from_bundle(bundle, m2, i0, seed)
 
 
 CONST_GEN = np.array([
@@ -221,21 +227,20 @@ class TestOccupancy:
 class TestNestedSimulate:
     def test_single_frozen_path(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        nested = nested_simulate(params, HISTORICAL, TimeGrid(1.0, 5),
+        nested = nested_simulate(params, TimeGrid(1.0, 5),
                                  1, 1, 2, 0)
         assert np.all(nested.states == 2)
 
     def test_seed_determinism(self, calibrated_params):
         grid = TimeGrid(1.0, 10)
-        n1 = nested_simulate(calibrated_params, HISTORICAL, grid, 3, 5, 1, 21)
-        n2 = nested_simulate(calibrated_params, HISTORICAL, grid, 3, 5, 1, 21)
+        n1 = nested_simulate(calibrated_params, grid, 3, 5, 1, 21)
+        n2 = nested_simulate(calibrated_params, grid, 3, 5, 1, 21)
         assert np.array_equal(n1.states, n2.states)
         assert np.array_equal(n1.default_time, n2.default_time,
                               equal_nan=True)
 
     def test_absorption_monotone(self, calibrated_params):
-        nested = nested_simulate(calibrated_params, HISTORICAL,
-                                 TimeGrid(1.0, 20), 5, 50, 3, 2)
+        nested = nested_simulate(calibrated_params, TimeGrid(1.0, 20), 5, 50, 3, 2)
         frac = (nested.flat_states == 4).mean(axis=0)
         assert np.all(np.diff(frac) >= -1e-12)
 
@@ -286,7 +291,7 @@ class TestEmpiricalTransition:
 
     def test_simulation_error_requires_shared_bundle(self, calibrated_params):
         grid = TimeGrid(1.0, 5)
-        n1 = nested_simulate(calibrated_params, HISTORICAL, grid, 2, 5, 1, 0)
-        n2 = nested_simulate(calibrated_params, HISTORICAL, grid, 2, 5, 2, 1)
+        n1 = nested_simulate(calibrated_params, grid, 2, 5, 1, 0)
+        n2 = nested_simulate(calibrated_params, grid, 2, 5, 2, 1)
         with pytest.raises(ValidationError):
             simulation_error({1: n1, 2: n2}, 1.0)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratingsde import (AlgebraCoeffs, ValidationError, ad, algebra_from_coeffs,
-                       basis_index_map, dexp_L, mat_exp, n_coords,
-                       validate_stochastic)
+from ratingsde import (ValidationError, ad, basis_index_map, dexp_L, mat_exp,
+                       n_coords, validate_stochastic)
 from ratingsde.datasets import annual_example, cohort_1y
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 
@@ -53,28 +52,24 @@ class TestBasisIndexMap:
 
 class TestAlgebraFromCoeffs:
     def test_zero_coeffs_give_zero_matrix(self):
-        a = algebra_from_coeffs(AlgebraCoeffs(k=4, coeffs=np.zeros(9)))
+        a = coeffs_to_matrices(np.zeros(9), 4)
         assert np.array_equal(a, np.zeros((4, 4)))
 
     def test_k2_single_rate(self):
-        a = algebra_from_coeffs(AlgebraCoeffs(k=2, coeffs=np.array([0.7])))
+        a = coeffs_to_matrices(np.array([0.7]), 2)
         assert np.allclose(a, [[-0.7, 0.7], [0.0, 0.0]])
 
     def test_first_basis_element(self):
-        a = algebra_from_coeffs(AlgebraCoeffs(k=4, coeffs=np.eye(9)[0]))
+        a = coeffs_to_matrices(np.eye(9)[0], 4)
         expect = np.zeros((4, 4))
         expect[0, 0], expect[0, 1] = -1.0, 1.0
         assert np.array_equal(a, expect)
-
-    def test_rejects_negative_coefficient(self):
-        with pytest.raises(ValidationError):
-            AlgebraCoeffs(k=4, coeffs=-np.eye(9)[2])
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_row_sums_zero_and_last_row_zero(self, seed):
         rng = np.random.default_rng(seed)
-        a = algebra_from_coeffs(AlgebraCoeffs(k=4, coeffs=rng.uniform(0, 5, 9)))
+        a = coeffs_to_matrices(rng.uniform(0, 5, 9), 4)
         assert np.abs(a.sum(axis=1)).max() <= 1e-14
         assert np.array_equal(a[-1], np.zeros(4))
 
@@ -92,15 +87,14 @@ class TestMatExp:
     def test_matches_taylor_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            a = algebra_from_coeffs(AlgebraCoeffs(k=4, coeffs=rng.uniform(0, 5, 9)))
+            a = coeffs_to_matrices(rng.uniform(0, 5, 9), 4)
             assert np.allclose(mat_exp(a).entries, taylor_expm(a), atol=1e-12)
 
     def test_group_closure(self):
         rng = np.random.default_rng(3)
-        ca = AlgebraCoeffs(k=4, coeffs=rng.uniform(0, 3, 9))
-        cb = AlgebraCoeffs(k=4, coeffs=rng.uniform(0, 3, 9))
-        prod = (mat_exp(algebra_from_coeffs(ca)).entries
-                @ mat_exp(algebra_from_coeffs(cb)).entries)
+        ca = coeffs_to_matrices(rng.uniform(0, 3, 9), 4)
+        cb = coeffs_to_matrices(rng.uniform(0, 3, 9), 4)
+        prod = mat_exp(ca).entries @ mat_exp(cb).entries
         assert validate_stochastic(prod, 1e-10).passed
 
     def test_rejects_nonzero_row_sum(self):

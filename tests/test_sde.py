@@ -118,8 +118,14 @@ class TestSimulatePaths:
     def test_terminal_matches_full_simulation(self, calibrated_params):
         g = TimeGrid(1.0, 15)
         bundle = simulate_paths(calibrated_params, HISTORICAL, g, 6, 9)
-        rt = simulate_terminal(calibrated_params, HISTORICAL, g, 6, 9)
+        rt = simulate_terminal(calibrated_params, HISTORICAL, g, draw_noise(4, g, 6, 9))
         assert np.array_equal(bundle.require_rpaths()[:, -1], rt)
+
+    @pytest.mark.parametrize("shape", [(0, 15, 9), (6, 14, 9), (6, 15, 4), (15, 9)])
+    def test_terminal_rejects_misshapen_noise(self, calibrated_params, shape):
+        with pytest.raises(ValidationError, match="noise must have shape"):
+            simulate_terminal(calibrated_params, HISTORICAL, TimeGrid(1.0, 15),
+                              np.zeros(shape))
 
     def test_strong_convergence_under_halving(self):
         # halving dt changes the terminal matrix at O(dt) on a smoke test

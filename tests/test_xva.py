@@ -6,7 +6,7 @@ import pytest
 from ratingsde import (HISTORICAL, CsaTerms, PortfolioSpec, TimeGrid,
                        ValidationError, collateral_path, compute_xva,
                        perfect_terms, predefault_distribution,
-                       simulate_portfolio, simulate_xva_paths, threshold_of,
+                       simulate_portfolio, simulate_xva_paths,
                        uncollateralized_terms, xva_by_regime)
 from ratingsde import xva
 from ratingsde.xva import posting_indices
@@ -59,22 +59,6 @@ class TestSimulatePortfolio:
         # variance of the sample variance for a normal: 2 sigma^4 / (m - 1)
         tol = 3.0 * np.sqrt(2.0 / (m - 1)) * target
         assert abs(sample_var - target) <= tol
-
-
-class TestThresholdOf:
-    def test_table_lookup(self):
-        t = terms_with([10e6, 5e6, 0, 0], [1e6, 2e6, 3e6, 4e6])
-        assert threshold_of("B", 1, t) == 10e6
-        assert threshold_of("C", 3, t) == 3e6
-
-    def test_out_of_range_rating(self):
-        t = perfect_terms(4)
-        with pytest.raises(ValidationError):
-            threshold_of("B", 5, t)
-
-    def test_unknown_party(self):
-        with pytest.raises(ValidationError):
-            threshold_of("X", 1, perfect_terms(4))
 
 
 class TestCollateralPath:
@@ -247,4 +231,4 @@ class TestPredefaultDistribution:
         d = predefault_distribution({1: np.array([3, 3, 2]),
                                      2: np.array([3, 0])}, 4)
         assert d.matrix.sum() == pytest.approx(1.0)
-        assert d.by_predefault()[2] == pytest.approx(3 / 4)
+        assert d.matrix.sum(0)[2] == pytest.approx(3 / 4)
