@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .lie import basis_index_map, n_coords
 from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
                   default_grid, draw_noise, simulate_terminal, HISTORICAL,
@@ -120,12 +120,16 @@ def _levenberg_marquardt(fun, x0, lo, hi, max_iter=60, sse_tol=1e-14,
     direction at the upper bound.  Stops when the SSE falls below sse_tol,
     the step below step_tol, or an accepted step improves the SSE by less
     than the relative factor rel_tol.  Raises NumericalError if the
-    residual at the (clipped) start point is not finite.
+    residual at the (clipped) start point or its sum of squares is not
+    finite.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = fun(x)
     _require_finite(r, "residuals at the start point")
-    sse = float(r @ r)
+    with np.errstate(over="ignore"):
+        sse = float(r @ r)
+    if not np.isfinite(sse):
+        raise NumericalError("the sum of squared residuals at the start point overflows")
     lam = LM_LAMBDA0
     n = x.size
     iterations = 0
@@ -226,32 +230,24 @@ class RnCalibrationResult:
 def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
                            grid: TimeGrid | None = None, m: int = 1000,
                            seed: int = 0) -> RnCalibrationResult:
-    """Fit the K-1 free entries of h by bounded least squares (trust region),
-    from h = 1 within RN_BOUNDS[kind].
+    """Fit the K-1 free entries of h by bounded Levenberg-Marquardt, from
+    h = 1 within RN_BOUNDS[kind].
 
     The SDE parameters stay fixed at their historical values; only the
     drift shift varies.  Raises NumericalError if the residual at the
     start point is not finite.
     """
-    # imported here so that the other commands never load scipy
-    from scipy.optimize import least_squares
-
     if kind not in RN_BOUNDS:
         raise ValidationError(f"calibratable kinds are 'jlt' and 'exponential', got {kind!r}")
     grid = grid or default_grid()
     k = params.k
     noise = draw_noise(k, grid, m, seed)
-    start = np.ones(k - 1)
-    _require_finite(rn_residual(start, params, kind, targets, grid, noise),
-                    "residuals at the start point")
-
-    res = least_squares(
-        rn_residual, start, args=(params, kind, targets, grid, noise),
-        bounds=RN_BOUNDS[kind], method="trf", diff_step=1e-6, xtol=1e-10, ftol=1e-10, gtol=1e-10,
-    )
-    return RnCalibrationResult(
-        h=np.append(res.x, 1.0), sse=float(2.0 * res.cost),
-        iterations=int(res.nfev), converged=bool(res.success))
+    lo, hi = RN_BOUNDS[kind]
+    x, sse, iterations, converged = _levenberg_marquardt(
+        lambda h: rn_residual(h, params, kind, targets, grid, noise),
+        np.ones(k - 1), np.full(k - 1, lo), np.full(k - 1, hi))
+    return RnCalibrationResult(h=np.append(x, 1.0), sse=sse,
+                               iterations=iterations, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ class RunConfig:
         path = Path(raw)
         if not path.is_absolute():
             path = self.base_dir / path
-        if not path.exists():
+        if not path.is_file():
             raise ValidationError(f"{self.source}: {key} refers to missing file {path}")
         return path
 
@@ -218,9 +218,10 @@ class RunConfig:
         default = np.array([1 / 12, 0.25, 0.5, 1.0])
         pts = self.get_floats("checkpoints", default)
         horizon = self.get_float("grid.horizon", 1.0)
-        if not (np.isfinite(pts).all() and np.all(pts > 0)
+        if not (pts.size and np.isfinite(pts).all() and np.all(pts > 0)
                 and np.all(pts <= horizon + 1e-12)):
-            raise ValidationError(f"{self.source}: checkpoints must lie in (0, horizon]")
+            raise ValidationError(f"{self.source}: checkpoints must list times in "
+                                  f"(0, horizon], got {pts.tolist()}")
         if np.any(np.diff(pts) <= 0):
             raise ValidationError(f"{self.source}: checkpoints must be strictly "
                                   f"increasing, got {pts.tolist()}")

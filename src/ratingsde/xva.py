@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sde import (MeasureChange, SdeParams, TimeGrid, _box_muller,
-                  _counter_normals, _counter_uniforms, _philox_key)
+from .sde import (DEFAULT_STEPS_PER_YEAR, MeasureChange, SdeParams, TimeGrid,
+                  _box_muller, _counter_normals, _counter_uniforms, _philox_key)
 from .ctmc import piecewise_generators, _ssa_batch
 
 _PORTFOLIO_STATIC_TAG = 0x90F
@@ -49,6 +49,8 @@ class PortfolioSpec:
             raise ValidationError(f"cash-flow count must be >= 0, got {self.n}")
         if self.sigma_scale < 0:
             raise ValidationError("sigma_scale must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError(f"portfolio seed must be nonnegative, got {self.seed}")
 
     def draw_components(self) -> tuple[np.ndarray, np.ndarray]:
         """(volatilities including component 0, lifetimes for components 1..n).
@@ -94,7 +96,7 @@ class CsaTerms:
     thresholds_cpty: np.ndarray
     lgd_bank: float = 0.6
     lgd_cpty: float = 0.6
-    postings_per_year: int = 365
+    postings_per_year: int = DEFAULT_STEPS_PER_YEAR
 
     def __post_init__(self):
         for name in ("thresholds_bank", "thresholds_cpty"):
@@ -116,13 +118,13 @@ class CsaTerms:
 
 
 def uncollateralized_terms(k: int, lgd_bank: float = 0.6, lgd_cpty: float = 0.6,
-                           postings_per_year: int = 365) -> CsaTerms:
+                           postings_per_year: int = DEFAULT_STEPS_PER_YEAR) -> CsaTerms:
     inf = np.full(k, np.inf)
     return CsaTerms(inf, inf, lgd_bank, lgd_cpty, postings_per_year)
 
 
 def perfect_terms(k: int, lgd_bank: float = 0.6, lgd_cpty: float = 0.6,
-                  postings_per_year: int = 365) -> CsaTerms:
+                  postings_per_year: int = DEFAULT_STEPS_PER_YEAR) -> CsaTerms:
     zero = np.zeros(k)
     return CsaTerms(zero, zero, lgd_bank, lgd_cpty, postings_per_year)
 

@@ -5,9 +5,10 @@ import pytest
 
 from ratingsde import (HISTORICAL, MatrixPathBundle, SdeParams, TimeGrid,
                        ValidationError, property_report, simulate_paths)
-from ratingsde.calibrate import (HistCalibrationSpec, PdTargets,
-                                 calibrate_historical, calibrate_risk_neutral,
-                                 coordinate_labels, hist_residual, rn_residual)
+from ratingsde.calibrate import (RN_BOUNDS, HistCalibrationSpec, PdTargets,
+                                 _levenberg_marquardt, calibrate_historical,
+                                 calibrate_risk_neutral, coordinate_labels,
+                                 hist_residual, rn_residual)
 from ratingsde.datasets import annual_example, pd_scenario
 from ratingsde.sde import draw_noise, simulate_terminal
 
@@ -134,6 +135,20 @@ class TestCalibrateRiskNeutral:
                                      PdTargets(pd_scenario(2)), m=1000, seed=0)
         assert res.sse <= 1e-4
         assert np.all(np.abs(res.h[:3] / np.array([12.38, 3.07, 0.46]) - 1) <= 0.4)
+
+    def test_runs_the_historical_fits_solver(self, calibrated_params):
+        # iterations counts LM iterations, as calibrate_historical's does
+        grid, targets = TimeGrid(1.0, 12), PdTargets(pd_scenario(2))
+        res = calibrate_risk_neutral(calibrated_params, "exponential", targets,
+                                     grid=grid, m=50, seed=0)
+        noise = draw_noise(4, grid, 50, 0)
+        lo, hi = RN_BOUNDS["exponential"]
+        x, sse, iterations, converged = _levenberg_marquardt(
+            lambda h: rn_residual(h, calibrated_params, "exponential", targets,
+                                  grid, noise),
+            np.ones(3), np.full(3, lo), np.full(3, hi))
+        assert np.array_equal(res.h, np.append(x, 1.0))
+        assert (res.sse, res.iterations, res.converged) == (sse, iterations, converged)
 
     def test_rejects_historical_kind(self, calibrated_params):
         with pytest.raises(ValidationError):

@@ -1,7 +1,9 @@
 """CSV round-trips, config grammar, and the command-line interface."""
 
+import itertools
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -9,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        empirical_transition, sample_from_bundle,
@@ -120,6 +124,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match="seed must be a number"):
             cfg.get_float("seed")
 
+    def test_empty_checkpoints_are_rejected(self, tmp_path):
+        # an empty list would run a command without its per-checkpoint files
+        cfg = RunConfig(values={"checkpoints": ""}, base_dir=tmp_path)
+        with pytest.raises(ValidationError, match="checkpoints must list times"):
+            cfg.checkpoints()
+
     def test_seed_required(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("labels = A,B,C,D\n")
@@ -129,10 +139,13 @@ class TestConfig:
 
     def test_missing_file_reference(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("seed = 1\npaths.cohort = nope.csv\n")
+        p.write_text("seed = 1\npaths.cohort = nope.csv\npaths.params =\n")
         cfg = RunConfig.from_file(p)
         with pytest.raises(ValidationError, match="missing file"):
             cfg.get_path("paths.cohort", required=True)
+        # an empty path names the config's directory, which is not a file
+        with pytest.raises(ValidationError, match="paths.params refers to missing file"):
+            cfg.get_path("paths.params", required=True)
 
     def test_default_csa_thresholds_for_five_ratings(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -248,6 +261,17 @@ class TestCliCommands:
         cfg = workdir / "run.cfg"
         cfg.write_text(cfg.read_text() + "hist.m = 20\nhist.bound_lo = 50\n"
                        "hist.bound_hi = 60\n")
+        res = run_cli("calibrate-hist", "--config", "run.cfg", "--out", "o",
+                      cwd=workdir)
+        assert res.returncode == 2, res.stderr
+        assert "numerical error" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
+        assert not (workdir / "o" / "params.csv").exists()
+
+    def test_calibrate_hist_overflowing_weight_exits_two(self, workdir):
+        # finite residuals whose sum of squares overflows
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "hist.m = 20\nhist.w1 = 1e308\n")
         res = run_cli("calibrate-hist", "--config", "run.cfg", "--out", "o",
                       cwd=workdir)
         assert res.returncode == 2, res.stderr
@@ -498,9 +522,9 @@ class TestCliCommands:
         for name in names:
             assert (d1 / name).read_bytes() == (d8 / name).read_bytes(), name
 
-    def test_commands_other_than_calibrate_rn_never_import_scipy(self, workdir):
-        # a fresh interpreter: scipy costs most of the import time, and only
-        # calibrate-rn needs it (scipy.optimize)
+    def test_no_command_imports_scipy(self, workdir):
+        # a fresh interpreter: numpy is the only runtime dependency, and
+        # scipy would cost most of the import time
         script = (
             "import json, sys\n"
             "from ratingsde import cli\n"
@@ -513,17 +537,17 @@ class TestCliCommands:
             "print(json.dumps(report))\n")
         cfg = workdir / "run.cfg"
         cfg.write_text(cfg.read_text().replace("measure.kind = historical",
-                                               "measure.kind = jlt") + "rn.m = 20\n")
-        commands = ["simulate", "ssa", "xva", "calibrate-rn"]
+                                               "measure.kind = jlt")
+                       + "hist.m = 20\nhist.max_iter = 1\nrn.m = 20\n")
+        commands = ["reconstruct", "calibrate-hist", "calibrate-rn",
+                    "simulate", "ssa", "xva"]
         env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
         res = subprocess.run([sys.executable, "-c", script, *commands], cwd=workdir,
                              env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout.splitlines()[-1])
-        for stage in ["import", *commands[:-1]]:
+        for stage in ["import", *commands]:
             assert report[stage] == [0, []], stage
-        code, modules = report["calibrate-rn"]
-        assert code == 0 and "scipy.optimize" in modules
 
     def test_seed_flag_overrides_config(self, workdir):
         for extra, out in (((), "a"), (("--seed", "43"), "b")):
@@ -533,3 +557,99 @@ class TestCliCommands:
         a = (workdir / "a" / "mean_t1.csv").read_bytes()
         b = (workdir / "b" / "mean_t1.csv").read_bytes()
         assert a != b
+
+
+# Config fuzzing: a tiny valid config that simulate, ssa, xva and
+# calibrate-rn all accept, and the values one of its keys is mutated to
+# (None misspells the key instead).
+FUZZ_CONFIG = {
+    "seed": "42", "labels": "A,B,C,D", "grid.horizon": "1.0",
+    "grid.steps_per_year": "12", "measure.kind": "jlt",
+    "measure.h": "1.2,1.1,1.05,1", "checkpoints": "0.5,1.0",
+    "sim.m": "8", "sim.m1": "3", "sim.m2": "8", "ssa.initial": "1,2",
+    "rn.m": "8", "xva.m": "8", "xva.bank_rating": "1", "xva.cpty_rating": "2",
+    "csa.thresholds_bank": "10,5,0,0", "csa.thresholds_cpty": "10,5,0,0",
+    "csa.lgd_bank": "0.6", "csa.lgd_cpty": "0.6", "csa.postings_per_year": "12",
+    "portfolio.v0": "0", "portfolio.n": "4", "portfolio.sigma_scale": "10",
+    "portfolio.seed": "0",
+    "paths.params": str(data_path("calibrated_params_1y.csv")),
+    "paths.pd_targets": str(data_path("pd_case1.csv")),
+}
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "1e308", "2.5", "", None]
+NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+# Reads one JSON [argv, stderr path] per line, runs cli.main on it in a
+# forked child whose stderr goes to that path, and prints the child's exit
+# code.  Forking spares each example the interpreter and numpy start-up,
+# and an exception that escapes main prints its traceback as python would.
+_FORK_SERVER = """
+import json, os, sys, traceback
+from ratingsde import cli
+for line in sys.stdin:
+    argv, err = json.loads(line)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.dup2(os.open(err, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 2)
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+    print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def forked_cli(tmp_path_factory):
+    """run(command, config text) -> (exit code, stderr, output directory),
+    each run in a fresh fork of one server capped at 2 GiB of address space."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    root = tmp_path_factory.mktemp("fuzz")
+    # one BLAS thread leaves the server single-threaded, so forking it is safe
+    env = dict(os.environ, PYTHONPATH=str(SRC_ROOT), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    server = subprocess.Popen([sys.executable, "-c", _FORK_SERVER], cwd=root, env=env,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              text=True, preexec_fn=cap_memory)
+    counter = itertools.count()
+
+    def run(command, text):
+        case = root / f"case{next(counter)}"
+        case.mkdir()
+        (case / "run.cfg").write_text(text)
+        argv = [command, "--config", str(case / "run.cfg"), "--out", str(case / "o")]
+        server.stdin.write(json.dumps([argv, str(case / "stderr")]) + "\n")
+        server.stdin.flush()
+        code = int(server.stdout.readline())
+        return code, (case / "stderr").read_text(), case / "o"
+
+    yield run
+    server.stdin.close()
+    server.wait()
+
+
+class TestConfigFuzz:
+    @given(command=st.sampled_from(["simulate", "ssa", "xva", "calibrate-rn"]),
+           key=st.sampled_from(sorted(FUZZ_CONFIG)), value=st.sampled_from(FUZZ_VALUES))
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @example(command="xva", key="portfolio.seed", value="-1")  # was a traceback
+    def test_mutated_key_exits_cleanly(self, forked_cli, command, key, value):
+        cfg = dict(FUZZ_CONFIG)
+        if value is None:
+            cfg[key[:-1] + "x" + key[-1]] = cfg.pop(key)
+        else:
+            cfg[key] = value
+        code, err, out = forked_cli(command, "".join(f"{k} = {v}\n"
+                                                     for k, v in cfg.items()))
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
+        if code == 0:
+            for artifact in out.iterdir():
+                assert not NON_FINITE.search(artifact.read_text()), artifact.name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ratingsde import (HISTORICAL, CsaTerms, PortfolioSpec, TimeGrid,
-                       ValidationError, collateral_path, compute_xva,
+                       ValidationError, collateral_path, compute_xva, default_grid,
                        perfect_terms, predefault_distribution,
                        simulate_portfolio, simulate_xva_paths,
                        uncollateralized_terms, xva_by_regime)
@@ -152,6 +152,17 @@ class TestComputeXva:
                           uncollateralized_terms(4, postings_per_year=12), GRID)
         assert res.cva == 0.0 and res.dva == 0.0
         assert res.defaults_simultaneous == 2
+
+    def test_default_postings_fit_the_default_grid(self):
+        # the library's CSA defaults post on every step of default_grid();
+        # both parties share one path, so its mid-year default is simultaneous
+        grid = default_grid()
+        v = np.full((2, grid.steps + 1), 4.0)
+        x = np.ones((2, grid.steps + 1), dtype=np.int8)
+        x[0, 61:] = 4
+        tau = np.array([0.5 - 0.001, np.nan])
+        res = compute_xva(v, x, tau, x, tau, perfect_terms(4), grid)
+        assert res.cva == 0.0 and res.dva == 0.0 and res.defaults_simultaneous == 1
 
     def test_bva_identity_holds(self):
         v, xb, tau_b, xc, tau_c = _hand_paths()
