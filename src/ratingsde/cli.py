@@ -299,7 +299,7 @@ def _cmd_ssa(args) -> int:
     m1 = cfg.get_int("sim.m1", 100)
     m2 = cfg.get_int("sim.m2", 1000)
     _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
-                         (m1, grid.steps + 1, k, k, 8), (m1, m2, grid.steps + 1, 1))
+                         (m1, grid.steps + 1, k, k, 8), (m1, m2, 8))
     initial = cfg.get_floats("ssa.initial")
     if initial is not None and (
             initial.size == 0 or np.any(initial != np.round(initial))

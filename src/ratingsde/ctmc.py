@@ -35,14 +35,16 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
 
 def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
                grid: TimeGrid, key: np.ndarray, path_offset: int = 0,
-               occupancy: np.ndarray | None = None):
+               occupancy: np.ndarray | None = None, record_states: bool = True):
     """Event-driven SSA across paths with per-path generator sequences.
 
     gens: (G, N, K, K); gen_index: (P,) path -> generator; i0: (P,) 1-based.
     Event e of path p draws from the Philox counter (path_offset + p, e)
     under `key`, so a path's draws do not depend on the batch it runs in.
     Returns (states (P, N+1) int8, default_time (P,), predefault (P,) int8);
-    states is the transposed view of a time-major (N+1, P) array.  If given,
+    states is the transposed view of a time-major (N+1, P) array.  With
+    `record_states` false no per-path states are built and states is an
+    empty (P, 0) array; the other outputs are the same bits.  If given,
     `occupancy` (G, N+1, K), integer, receives for each generator g and grid
     index j the number of g's paths in each state at j, counted from the
     jump events.
@@ -55,8 +57,9 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
     np.cumsum(rates.transpose(0, 2, 1) * grid.dt, axis=2, out=hazard[:, :, 1:])
 
     cur = np.asarray(i0, dtype=np.int64) - 1
-    states = np.zeros((n + 1, p), dtype=np.int8)   # jump deltas, summed below
-    states[0] = cur + 1
+    # jump deltas, summed below; no rows unless states are recorded
+    states = np.zeros((n + 1 if record_states else 0, p), dtype=np.int8)
+    states[:1] = cur + 1
     if occupancy is not None:
         occupancy[...] = 0
         np.add.at(occupancy, (gen_index, 0, cur), 1)
@@ -95,7 +98,8 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
         cum = np.cumsum(rows, axis=1)
         # u_dest < 1, so the threshold lies below the row's own total
         dest = np.argmax(cum > (u_dest * cum[:, -1])[:, None], axis=1)
-        states[j + 1, live] += (dest - s).astype(np.int8)
+        if record_states:
+            states[j + 1, live] += (dest - s).astype(np.int8)
         if occupancy is not None:
             np.subtract.at(occupancy, (gl, j + 1, s), 1)
             np.add.at(occupancy, (gl, j + 1, dest), 1)
@@ -107,7 +111,7 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
                              tau[go_on])
         h = hazard[gl, s, j] + rates[gl, j, s] * (t - times[j])
         event += 1
-    for i in range(1, n + 1):
+    for i in range(1, len(states)):
         np.add(states[i], states[i - 1], out=states[i])
     if occupancy is not None:
         np.cumsum(occupancy, axis=1, out=occupancy)
@@ -116,24 +120,26 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
 
 @dataclass
 class NestedPaths:
-    """M1 x M2 rating paths sampled from M1 matrix trajectories."""
+    """M1 x M2 rating paths sampled from M1 matrix trajectories.
+
+    Only what the jump events give is kept: no per-path rating states.
+    """
 
     m1: int
     m2: int
-    states: np.ndarray        # (M1, M2, N+1), 1-based ratings
     default_time: np.ndarray  # (M1, M2), nan = no default before horizon
     predefault: np.ndarray    # (M1, M2), 0 = no default
     occupancy: np.ndarray     # (M1, N+1, K), paths per state, counted per trajectory
     bundle: MatrixPathBundle | None = None
 
-    @property
-    def flat_states(self) -> np.ndarray:
-        return self.states.reshape(self.m1 * self.m2, -1)
-
 
 def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
                        seed: int) -> NestedPaths:
-    """SSA-sample m2 paths per matrix trajectory of an existing bundle."""
+    """SSA-sample m2 paths per matrix trajectory of an existing bundle.
+
+    Keeps the occupancy counts, default times and pre-default ratings, all
+    taken from the jump events; the per-path states are not built.
+    """
     if m2 < 1:
         raise ValidationError(f"m2 must be >= 1, got {m2}")
     if not 1 <= i0 <= bundle.k:
@@ -144,11 +150,10 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
     i0_arr = np.full(m1 * m2, i0)
     key = _philox_key([seed, _SSA_STREAM_TAG, i0])
     occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
-    states, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, key,
-                                  occupancy=occupancy)
+    _, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, key,
+                             occupancy=occupancy, record_states=False)
     return NestedPaths(
         m1=m1, m2=m2,
-        states=states.reshape(m1, m2, -1),
         default_time=dt_.reshape(m1, m2),
         predefault=pd_.reshape(m1, m2),
         occupancy=occupancy,

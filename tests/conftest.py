@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import ratingsde
-from ratingsde import CohortMatrix, SdeParams
+from ratingsde import CohortMatrix, SdeParams, piecewise_generators
 from ratingsde import datasets
+from ratingsde.ctmc import _SSA_STREAM_TAG, _ssa_batch
+from ratingsde.sde import _philox_key
 
 # Printed reference values for the sample data set (4 decimal digits of the
 # published tables; tolerance 5e-5 covers print rounding).
@@ -48,6 +50,23 @@ def reconstructed() -> np.ndarray:
 def calibrated_params() -> SdeParams:
     _, a, b, sigma = datasets.calibrated_params_1y()
     return SdeParams(k=4, a=a, b=b, sigma=sigma)
+
+
+def recorded_ssa(bundle, m2: int, i0: int, seed: int):
+    """The `_ssa_batch` call of ``sample_from_bundle(bundle, m2, i0, seed)``,
+    with per-path states recorded.
+
+    Returns (states (M1*M2, N+1), default_time, predefault, occupancy),
+    paths ordered trajectory-major as in ``sample_from_bundle``.
+    """
+    m1 = bundle.m
+    occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
+    states, dts, pds = _ssa_batch(
+        piecewise_generators(bundle), np.repeat(np.arange(m1), m2),
+        np.full(m1 * m2, i0), bundle.grid,
+        _philox_key([seed, _SSA_STREAM_TAG, i0]), occupancy=occupancy,
+        record_states=True)
+    return states, dts, pds, occupancy
 
 
 # Directory that holds the ``ratingsde`` package this test process imported.

@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
-                       empirical_transition, sample_from_bundle,
-                       simulate_paths_threaded)
+                       empirical_transition, simulate_paths_threaded)
 from ratingsde import cli
 from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
@@ -25,7 +24,7 @@ from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              write_rating_csv)
 from ratingsde.svgplot import _Panel, _points, trajectory_fans
 
-from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, run_cli
+from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, recorded_ssa, run_cli
 
 
 class TestMatIo:
@@ -363,7 +362,7 @@ class TestCliCommands:
 
     def test_ssa_occupancy_csv_equals_empirical_transition(self, workdir):
         # the CSV rows come from the event-counted occupancy; they must equal
-        # the frequencies read off the sampled rating paths themselves
+        # the frequencies read off the same draws' recorded rating paths
         cfg = workdir / "run.cfg"
         cfg.write_text(cfg.read_text() + "ssa.initial = 2,4\n")
         res = run_cli("ssa", "--config", "run.cfg", "--out", "g", cwd=workdir)
@@ -372,8 +371,7 @@ class TestCliCommands:
         grid = TimeGrid(1.0, 24)
         bundle = simulate_paths_threaded(SdeParams(k=4, a=a, b=b, sigma=sigma),
                                          HISTORICAL, grid, 10, 42)
-        states = {i0: sample_from_bundle(bundle, 40, i0, 42).flat_states
-                  for i0 in (2, 4)}
+        states = {i0: recorded_ssa(bundle, 40, i0, 42)[0] for i0 in (2, 4)}
         for t, tag in ((0.25, "0.25"), (0.5, "0.5"), (1.0, "1")):
             _, written = read_rating_csv(workdir / "g" / f"occupancy_t{tag}.csv")
             emp, present = empirical_transition(states, t, grid, 4)

@@ -1,5 +1,7 @@
 """Piecewise generators and Gillespie rating-path sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,6 +13,8 @@ from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import expm_batch
 from ratingsde.sde import _philox_key
+
+from conftest import recorded_ssa
 
 
 def flat_params(k, a, b, sigma):
@@ -219,9 +223,39 @@ class TestOccupancy:
         for seed in (0, 1):
             for i0 in (1, 2, 3, 4):
                 nested = sample_from_bundle(bundle, 400, i0, seed)
-                expect = self._bincounts(nested.flat_states,
-                                         np.repeat(np.arange(3), 400), 3, 4)
+                states = recorded_ssa(bundle, 400, i0, seed)[0]
+                expect = self._bincounts(states, np.repeat(np.arange(3), 400), 3, 4)
                 assert np.array_equal(nested.occupancy, expect)
+
+    def test_skipping_states_changes_no_other_output(self, calibrated_params):
+        # sample_from_bundle builds no states; its outputs equal, bit for
+        # bit, those of the same _ssa_batch call with states recorded
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 12), 3, 4)
+        for seed in (0, 1):
+            for i0 in (1, 2, 3, 4):
+                nested = sample_from_bundle(bundle, 400, i0, seed)
+                states, dts, pds, occ = recorded_ssa(bundle, 400, i0, seed)
+                assert states.shape == (1200, 13)
+                assert np.array_equal(nested.occupancy, occ)
+                assert np.array_equal(nested.default_time.ravel(), dts,
+                                      equal_nan=True)
+                assert np.array_equal(nested.predefault.ravel(), pds)
+                assert nested.predefault.dtype == pds.dtype
+
+    def test_sampling_holds_no_per_path_states(self, calibrated_params):
+        # the (M1*M2, N+1) int8 state matrix alone would take 2.40 MB here
+        m1, m2 = 2, 1000
+        grid = TimeGrid(1.0, 1200)
+        bundle = simulate_paths(calibrated_params, HISTORICAL, grid, m1, 0)
+        tracemalloc.start()
+        try:
+            nested = sample_from_bundle(bundle, m2, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nested.occupancy[:, -1, 1:].sum() > 0       # paths did move
+        assert peak < m1 * m2 * (grid.steps + 1)
 
 
 class TestNestedSimulate:
@@ -229,28 +263,41 @@ class TestNestedSimulate:
         params = flat_params(4, 1.0, 0.0, 0.0)
         nested = nested_simulate(params, TimeGrid(1.0, 5),
                                  1, 1, 2, 0)
-        assert np.all(nested.states == 2)
+        expect = np.zeros((1, 6, 4), dtype=np.int64)
+        expect[:, :, 1] = 1                   # the one path sits in rating 2
+        assert np.array_equal(nested.occupancy, expect)
+        assert np.isnan(nested.default_time).all()
+        assert np.all(nested.predefault == 0)
 
     def test_seed_determinism(self, calibrated_params):
         grid = TimeGrid(1.0, 10)
         n1 = nested_simulate(calibrated_params, grid, 3, 5, 1, 21)
         n2 = nested_simulate(calibrated_params, grid, 3, 5, 1, 21)
-        assert np.array_equal(n1.states, n2.states)
+        # some path leaves rating 1, so the draws are compared, not constants
+        assert (n1.occupancy[:, -1, 0] < 5).any()
+        assert np.array_equal(n1.occupancy, n2.occupancy)
         assert np.array_equal(n1.default_time, n2.default_time,
                               equal_nan=True)
+        assert np.array_equal(n1.predefault, n2.predefault)
 
     def test_absorption_monotone(self, calibrated_params):
-        nested = nested_simulate(calibrated_params, TimeGrid(1.0, 20), 5, 50, 3, 2)
-        frac = (nested.flat_states == 4).mean(axis=0)
-        assert np.all(np.diff(frac) >= -1e-12)
+        grid = TimeGrid(1.0, 20)
+        nested = nested_simulate(calibrated_params, grid, 5, 50, 3, 2)
+        absorbed = nested.occupancy[:, :, 3].sum(axis=0)
+        assert absorbed[-1] > 0
+        assert np.all(np.diff(absorbed) >= 0)
+        # the absorbed count at t_j is the number of defaults by t_j
+        by_t = [np.count_nonzero(nested.default_time <= t) for t in grid.times]
+        assert np.array_equal(absorbed, by_t)
+        defaulted = ~np.isnan(nested.default_time)
+        assert np.all((nested.predefault > 0) == defaulted)
 
 
 class TestEmpiricalTransition:
     def test_frozen_chain_gives_identity_rows(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
         bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 1, 0)
-        groups = {i0: sample_from_bundle(bundle, 20, i0, 0).flat_states
-                  for i0 in (1, 2, 3)}
+        groups = {i0: recorded_ssa(bundle, 20, i0, 0)[0] for i0 in (1, 2, 3)}
         emp, present = empirical_transition(groups, 1.0, bundle.grid, 4)
         assert present == [1, 2, 3]
         assert np.array_equal(emp[:3], np.eye(4)[:3])
@@ -263,7 +310,7 @@ class TestEmpiricalTransition:
         grid = TimeGrid(1.0, 8)
         bundle = simulate_paths(params, HISTORICAL, grid, 1, 0)
         n = 20000
-        groups = {1: sample_from_bundle(bundle, n, 1, 0).flat_states}
+        groups = {1: recorded_ssa(bundle, n, 1, 0)[0]}
         emp, _ = empirical_transition(groups, 1.0, grid, 2)
         p = np.exp(-lam)
         assert abs(emp[0, 0] - p) <= 3 * np.sqrt(p * (1 - p) / n)
@@ -280,9 +327,10 @@ class TestEmpiricalTransition:
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 10), 3, 5)
         nested = sample_from_bundle(bundle, 200, 2, 5)
+        states = recorded_ssa(bundle, 200, 2, 5)[0].reshape(3, 200, -1)
         emp = np.zeros((3, 2, 4))
         emp[:, 0] = [np.bincount(row - 1, minlength=4) / 200
-                     for row in nested.states[:, :, -1]]
+                     for row in states[:, :, -1]]
         emp[:, 1, 3] = 1.0
         model = bundle.require_rpaths()[:, -1][:, [1, 3]]
         expect = np.linalg.norm(model - emp, axis=(1, 2)).mean() / 8
