@@ -294,18 +294,15 @@ def _stat(checkpoint, violations: np.ndarray, magnitudes: np.ndarray,
 
 def property_report(bundle: MatrixPathBundle, checkpoints: list[float]) -> PropertyReport:
     """Evaluate the four rating-matrix properties pathwise at the checkpoints."""
-    rp = bundle.require_rpaths()
     k = bundle.k
-    idxs = [bundle.grid.index_of(t) for t in checkpoints]
-    mats = rp[:, idxs]                      # (M, C, K, K)
+    mats = [bundle.matrices_at(t) for t in checkpoints]     # C x (M, K, K)
 
     iu = np.triu_indices(k, 1)
     il = np.tril_indices(k, -1)
     diag = np.arange(k)
 
     dd_stats, ud_stats, mono_stats = [], [], []
-    for ci, t in enumerate(checkpoints):
-        r = mats[:, ci]
+    for t, r in zip(checkpoints, mats):
         # (1) strong diagonal dominance per row
         off_sum = r.sum(axis=2) - r[:, diag, diag]
         gap = off_sum - r[:, diag, diag]
@@ -328,7 +325,7 @@ def property_report(bundle: MatrixPathBundle, checkpoints: list[float]) -> Prope
     dec_stats = []
     for ci in range(len(checkpoints) - 1):
         s, t = checkpoints[ci], checkpoints[ci + 1]
-        ds = mats[:, ci, diag, diag] - mats[:, ci + 1, diag, diag]
+        ds = mats[ci][:, diag, diag] - mats[ci + 1][:, diag, diag]
         viol = -ds > PROPERTY_TOL
         dec_stats.append(_stat((s, t), viol, np.where(viol, -ds, 0.0),
                                [f"row {i + 1}" for i in range(k)]))

@@ -36,8 +36,9 @@ from .errors import NumericalError, RatingSdeError, ValidationError
 from .lie import n_coords
 from .matio import (read_params_csv, read_pd_csv, read_rating_csv,
                     write_params_csv, write_rating_csv)
-from .sde import _require_finite, mean_matrix, simulate_paths_threaded, var_matrix
-from .svgplot import (entry_histograms, occupancy_plot, predefault_bars,
+from .sde import (_CHUNK, _require_finite, mean_matrix, simulate_paths_threaded,
+                  var_matrix)
+from .svgplot import (_FAN_PATHS, entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
 from .xva import (perfect_terms, posting_indices, predefault_distribution,
                   simulate_xva_paths, uncollateralized_terms, xva_by_regime)
@@ -255,22 +256,29 @@ def _cmd_simulate(args) -> int:
     cfg, out = _load(args)
     params = _read_params(cfg)
     grid = cfg.grid()
+    k = cfg.k
     m = cfg.get_int("sim.m", 1000)
+    checkpoints = [float(t) for t in cfg.checkpoints()]
+    # the histograms read R_T, the fans every R_k of the leading paths
+    keep_times = checkpoints + [grid.horizon]
+    # the kept matrices and one chunk's matrix paths
     _require_allocatable(cfg, "sim.m and grid.steps_per_year",
-                         (m, grid.steps + 1, cfg.k, cfg.k, 8))
-    bundle = simulate_paths_threaded(params, cfg.measure(), grid, m, cfg.seed())
+                         (m, len(keep_times), k, k, 8),
+                         (min(m, _CHUNK), grid.steps + 1, k, k, 8))
+    bundle = simulate_paths_threaded(params, cfg.measure(), grid, m, cfg.seed(),
+                                     keep_times=keep_times, keep_paths=_FAN_PATHS,
+                                     keep_increments=False)
     labels = cfg.labels()
-    rp = bundle.require_rpaths()
     outputs = []
-    for t in cfg.checkpoints():
-        tag = _fmt_time(float(t))
-        for stem, entries in (("mean", mean_matrix(bundle, float(t))),
-                              ("var", var_matrix(bundle, float(t)))):
+    for t in checkpoints:
+        tag = _fmt_time(t)
+        for stem, entries in (("mean", mean_matrix(bundle, t)),
+                              ("var", var_matrix(bundle, t))):
             name = f"{stem}_t{tag}.csv"
             write_rating_csv(out / name, labels, entries)
             outputs.append(name)
 
-    report = property_report(bundle, [float(t) for t in cfg.checkpoints()])
+    report = property_report(bundle, checkpoints)
     lines = ["property,checkpoint,violation_fraction,worst_violation,offending"]
     for prop, stats in report.all_stats().items():
         for st in stats:
@@ -283,8 +291,10 @@ def _cmd_simulate(args) -> int:
     (out / "property_report.csv").write_text("\n".join(lines) + "\n")
     outputs.append("property_report.csv")
 
-    (out / "trajectories.svg").write_text(trajectory_fans(grid.times, rp, labels))
-    (out / "histograms.svg").write_text(entry_histograms(rp[:, -1], labels))
+    (out / "trajectories.svg").write_text(
+        trajectory_fans(grid.times, bundle.rpaths, labels))
+    (out / "histograms.svg").write_text(
+        entry_histograms(bundle.matrices_at(grid.horizon), labels))
     outputs += ["trajectories.svg", "histograms.svg"]
     _write_summary(out, "simulate", cfg, outputs)
     return 0
@@ -298,8 +308,10 @@ def _cmd_ssa(args) -> int:
     k = cfg.k
     m1 = cfg.get_int("sim.m1", 100)
     m2 = cfg.get_int("sim.m2", 1000)
+    # the generator tensor, one chunk's matrix paths and the per-path arrays
     _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
-                         (m1, grid.steps + 1, k, k, 8), (m1, m2, 8))
+                         (m1, grid.steps, k, k, 8),
+                         (min(m1, _CHUNK), grid.steps + 1, k, k, 8), (m1, m2, 8))
     initial = cfg.get_floats("ssa.initial")
     if initial is not None and (
             initial.size == 0 or np.any(initial != np.round(initial))
@@ -311,8 +323,10 @@ def _cmd_ssa(args) -> int:
     measure = cfg.measure()
     seed = cfg.seed()
 
-    bundle = simulate_paths_threaded(params, measure, grid, m1, seed)
-    nested = {i0: sample_from_bundle(bundle, m2, i0, seed) for i0 in i0_list}
+    bundle = simulate_paths_threaded(params, measure, grid, m1, seed,
+                                     keep_times=[grid.horizon], keep_paths=0,
+                                     keep_increments=True)
+    nested = sample_from_bundle(bundle, m2, i0_list, seed)
     # occupancy frequencies (N+1, K) per initial rating, counted from the jump events
     freqs = {i0: paths.occupancy.sum(0) / (m1 * m2) for i0, paths in nested.items()}
     outputs = []

@@ -133,32 +133,38 @@ class NestedPaths:
     bundle: MatrixPathBundle | None = None
 
 
-def sample_from_bundle(bundle: MatrixPathBundle, m2: int, i0: int,
-                       seed: int) -> NestedPaths:
-    """SSA-sample m2 paths per matrix trajectory of an existing bundle.
+def sample_from_bundle(bundle: MatrixPathBundle, m2: int, initial: list[int],
+                       seed: int) -> dict[int, NestedPaths]:
+    """SSA-sample m2 paths per matrix trajectory of an existing bundle, for
+    each initial rating in `initial`; returns {rating: NestedPaths}.
 
-    Keeps the occupancy counts, default times and pre-default ratings, all
-    taken from the jump events; the per-path states are not built.
+    The generator tensor is built once and shared by the ratings; each
+    rating draws from its own Philox key.  Keeps the occupancy counts,
+    default times and pre-default ratings, all taken from the jump events;
+    the per-path states are not built.
     """
     if m2 < 1:
         raise ValidationError(f"m2 must be >= 1, got {m2}")
-    if not 1 <= i0 <= bundle.k:
-        raise ValidationError(f"initial rating must be in 1..{bundle.k}, got {i0}")
+    for i0 in initial:
+        if not 1 <= i0 <= bundle.k:
+            raise ValidationError(f"initial rating must be in 1..{bundle.k}, got {i0}")
     gens = piecewise_generators(bundle)
     m1 = bundle.m
     gen_index = np.repeat(np.arange(m1), m2)
-    i0_arr = np.full(m1 * m2, i0)
-    key = _philox_key([seed, _SSA_STREAM_TAG, i0])
-    occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
-    _, dt_, pd_ = _ssa_batch(gens, gen_index, i0_arr, bundle.grid, key,
-                             occupancy=occupancy, record_states=False)
-    return NestedPaths(
-        m1=m1, m2=m2,
-        default_time=dt_.reshape(m1, m2),
-        predefault=pd_.reshape(m1, m2),
-        occupancy=occupancy,
-        bundle=bundle,
-    )
+    nested = {}
+    for i0 in initial:
+        key = _philox_key([seed, _SSA_STREAM_TAG, i0])
+        occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
+        _, dt_, pd_ = _ssa_batch(gens, gen_index, np.full(m1 * m2, i0), bundle.grid,
+                                 key, occupancy=occupancy, record_states=False)
+        nested[i0] = NestedPaths(
+            m1=m1, m2=m2,
+            default_time=dt_.reshape(m1, m2),
+            predefault=pd_.reshape(m1, m2),
+            occupancy=occupancy,
+            bundle=bundle,
+        )
+    return nested
 
 
 def empirical_transition(states_by_i0: dict[int, np.ndarray], t: float,
@@ -194,7 +200,7 @@ def simulation_error(nested_by_i0: dict[int, NestedPaths], t: float) -> float:
     k = bundle.k
     idx = bundle.grid.index_of(t)
     m1 = any_np.m1
-    model = bundle.require_rpaths()[:, idx]         # (M1, K, K)
+    model = bundle.matrices_at(t)                   # (M1, K, K)
 
     emp = np.zeros((m1, k, k))
     filled = np.zeros(k, dtype=bool)

@@ -156,22 +156,30 @@ def kappa_from_h(measure: MeasureChange, k: int) -> np.ndarray:
 
 @dataclass
 class MatrixPathBundle:
-    """Simulated trajectories of the rating-matrix process.
+    """Simulated trajectories of the rating-matrix process, as far as kept.
 
-    rpaths:     (M, N+1, K, K) matrices on the grid (R_0 = I), or None.
-    increments: (M, N, (K-1)^2) nonnegative per-step generator coordinates.
+    kept:       grid indices at which R is held for every trajectory.
+    matrices:   (M, len(kept), K, K) the matrices R at those indices.
+    rpaths:     (P, N+1, K, K) every R_k (R_0 = I) of the leading P <= M
+                trajectories, or None.
+    increments: (M, N, (K-1)^2) nonnegative per-step generator coordinates,
+                or None.
     """
 
     k: int
     grid: TimeGrid
     m: int
-    increments: np.ndarray
+    increments: np.ndarray | None = None
     rpaths: np.ndarray | None = None
+    kept: tuple[int, ...] = ()
+    matrices: np.ndarray | None = None
 
-    def require_rpaths(self) -> np.ndarray:
-        if self.rpaths is None:
-            raise ValidationError("bundle was simulated without stored matrix paths")
-        return self.rpaths
+    def matrices_at(self, t: float) -> np.ndarray:
+        """R_t of every trajectory, shape (M, K, K); raises if t was not kept."""
+        idx = self.grid.index_of(t)
+        if idx not in self.kept:
+            raise ValidationError(f"R at t={t} was not kept")
+        return self.matrices[:, self.kept.index(idx)]
 
 
 def _philox_key(seed_words: list[int]) -> np.ndarray:
@@ -331,21 +339,24 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
 
     The increments dA = |Y_k|^a dt depend on the driver Y alone, so the
     group products R_{k+1} = R_k exp(dA) are formed only when the matrix
-    paths are stored.  Raises NumericalError if any increment or stored
-    matrix is non-finite.
+    paths are stored; the bundle then keeps every grid index of every
+    trajectory.  Raises NumericalError if any increment or stored matrix is
+    non-finite.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     k = params.k
-    noise = draw_noise(k, grid, m, seed, traj_offset)
-    increments = _increments(params, measure, grid, noise)
+    # the noise is freed before the products are formed
+    increments = _increments(params, measure, grid,
+                             draw_noise(k, grid, m, seed, traj_offset))
     _require_finite(increments, "generator increments")
-    rpaths = None
-    if store_rpaths:
-        rpaths = np.empty((m, grid.steps + 1, k, k))
-        _products(increments, k, rpaths)
-        _require_finite(rpaths, "rating-matrix entries")
-    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths)
+    if not store_rpaths:
+        return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments)
+    rpaths = np.empty((m, grid.steps + 1, k, k))
+    _products(increments, k, rpaths)
+    _require_finite(rpaths, "rating-matrix entries")
+    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths,
+                            kept=tuple(range(grid.steps + 1)), matrices=rpaths)
 
 
 def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
@@ -368,28 +379,38 @@ _CHUNK = 256
 
 
 def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                            m: int, seed: int) -> MatrixPathBundle:
-    """simulate_paths over fixed chunks of 256 trajectories, paths stored.
+                            m: int, seed: int, *, keep_times: list[float],
+                            keep_paths: int, keep_increments: bool) -> MatrixPathBundle:
+    """simulate_paths over fixed chunks of 256 trajectories, keeping only
+    what the caller reads: R at the grid times keep_times for every
+    trajectory, every R_k of the leading keep_paths trajectories, and the
+    increments if keep_increments.
 
-    The full (M, ...) arrays are allocated once; each chunk is copied into
-    them and dropped before the next is simulated, so at most one chunk is
-    held beside the result.  Every draw is keyed on its global trajectory
-    index, so the result equals a single simulate_paths call bit for bit.
-    The chunks run one after another on the calling thread: a pool of 2
-    workers was slower than 1.
+    Each chunk's full arrays are dropped before the next is simulated, so
+    at most one chunk is held beside the kept arrays.  Every draw is keyed
+    on its global trajectory index, so the kept arrays equal the same
+    slices of a single simulate_paths call bit for bit.  The chunks run one
+    after another on the calling thread: a pool of 2 workers was slower
+    than 1.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     k = params.k
-    increments = np.empty((m, grid.steps, n_coords(k)))
-    rpaths = np.empty((m, grid.steps + 1, k, k))
+    kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
+    matrices = np.empty((m, len(kept), k, k))
+    rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
+    increments = np.empty((m, grid.steps, n_coords(k))) if keep_increments else None
     for off in range(0, m, _CHUNK):
         part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
                               traj_offset=off)
-        increments[off:off + part.m] = part.increments
-        rpaths[off:off + part.m] = part.rpaths
+        matrices[off:off + part.m] = part.rpaths[:, list(kept)]
+        whole = rpaths[off:off + part.m]         # empty past the leading paths
+        whole[...] = part.rpaths[:len(whole)]
+        if increments is not None:
+            increments[off:off + part.m] = part.increments
         del part                     # hold no chunk while the next is simulated
-    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths)
+    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths,
+                            kept=kept, matrices=matrices)
 
 
 def girsanov_density(kappa: np.ndarray, w_increments: np.ndarray, grid: TimeGrid) -> np.ndarray | float:
@@ -414,13 +435,11 @@ def girsanov_density(kappa: np.ndarray, w_increments: np.ndarray, grid: TimeGrid
 
 def mean_matrix(bundle: MatrixPathBundle, t: float) -> np.ndarray:
     """Elementwise sample mean of R_t across trajectories."""
-    idx = bundle.grid.index_of(t)
-    return bundle.require_rpaths()[:, idx].mean(axis=0)
+    return bundle.matrices_at(t).mean(axis=0)
 
 
 def var_matrix(bundle: MatrixPathBundle, t: float) -> np.ndarray:
     """Elementwise unbiased sample variance of R_t across trajectories."""
     if bundle.m < 2:
         raise ValidationError("variance requires at least 2 trajectories")
-    idx = bundle.grid.index_of(t)
-    return bundle.require_rpaths()[:, idx].var(axis=0, ddof=1)
+    return bundle.matrices_at(t).var(axis=0, ddof=1)

@@ -34,6 +34,7 @@ from conftest import (ADJUSTED_PUBLISHED, DISTANCE_PUBLISHED, PRINT_TOL,
 
 GRID_FINE = TimeGrid(1.0, 120)
 SEED = 11
+CHECKPOINTS = [1 / 12, 0.25, 0.5, 1.0]     # read by criteria 04 and 08
 
 
 def _input_rng(seed_words: list[int]) -> np.random.Generator:
@@ -54,7 +55,8 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bundle_1000(calibrated_params):
     return simulate_paths_threaded(calibrated_params, HISTORICAL, GRID_FINE,
-                                   1000, SEED)
+                                   1000, SEED, keep_times=CHECKPOINTS,
+                                   keep_paths=0, keep_increments=False)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ def nested_p(calibrated_params):
     """One shared 100-trajectory bundle, 1000 SSA paths per initial rating."""
     bundle = simulate_paths(calibrated_params, HISTORICAL, GRID_FINE, 100,
                             SEED)
-    return {i0: sample_from_bundle(bundle, 1000, i0, SEED) for i0 in (1, 2, 3)}
+    return sample_from_bundle(bundle, 1000, [1, 2, 3], SEED)
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +189,7 @@ def test_criterion_07_ssa_oracle(nested_p):
 
 
 def test_criterion_08_rating_properties(bundle_1000):
-    report = property_report(bundle_1000, [1 / 12, 0.25, 0.5, 1.0])
+    report = property_report(bundle_1000, CHECKPOINTS)
     late_worst = 0.0
     for stats in report.all_stats().values():
         for st in stats:
@@ -237,8 +239,7 @@ def test_criterion_10_predefault_distribution(calibrated_params, nested_p,
     measure_q = MeasureChange(kind="exponential", h=case2_exponential.h)
     bundle_q = simulate_paths(calibrated_params, measure_q, GRID_FINE, 100,
                               SEED)
-    nested_q = {i0: sample_from_bundle(bundle_q, 1000, i0, SEED)
-                for i0 in (1, 2, 3)}
+    nested_q = sample_from_bundle(bundle_q, 1000, [1, 2, 3], SEED)
     dist_q = predefault_distribution(
         {i0: n.predefault for i0, n in nested_q.items()}, 4)
 

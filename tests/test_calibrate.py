@@ -167,9 +167,8 @@ class TestPropertyReport:
 
     def test_published_matrix_static_properties(self):
         # one trajectory that jumps from I to the published matrix
-        rpaths = np.stack([np.eye(4), annual_example()])[None]
-        bundle = MatrixPathBundle(k=4, grid=TimeGrid(1.0, 1), m=1,
-                                  increments=np.zeros((1, 1, 9)), rpaths=rpaths)
+        bundle = MatrixPathBundle(k=4, grid=TimeGrid(1.0, 1), m=1, kept=(1,),
+                                  matrices=annual_example()[None, None])
         rep = property_report(bundle, [1.0])
         for stats in rep.all_stats().values():
             assert all(st.violation_fraction == 0.0 for st in stats)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        empirical_transition, simulate_paths_threaded)
-from ratingsde import cli
+from ratingsde import cli, sde
 from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
@@ -243,6 +243,24 @@ class TestCliCommands:
         _, mean = read_rating_csv(workdir / "s" / "mean_t1.csv")
         assert np.abs(mean.sum(axis=1) - 1.0).max() <= 1e-9
 
+    def test_simulate_artifacts_do_not_depend_on_the_chunk_size(self, workdir,
+                                                                monkeypatch):
+        # 300 trajectories x 12 steps; with chunks of 7 the 50 fan paths
+        # span 8 chunks, with chunks of 1000 everything is one chunk
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text()
+                       .replace("grid.steps_per_year = 24", "grid.steps_per_year = 12")
+                       .replace("sim.m = 40", "sim.m = 300"))
+        artifacts = {}
+        for chunk in (7, 1000):
+            monkeypatch.setattr(sde, "_CHUNK", chunk)
+            out = workdir / f"chunk{chunk}"
+            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            artifacts[chunk] = {p.name: p.read_bytes() for p in out.iterdir()}
+        # mean and var at 3 checkpoints, the property report, 2 SVGs, the summary
+        assert len(artifacts[7]) == 10
+        assert artifacts[7] == artifacts[1000]
+
     def test_simulate_non_finite_exits_two(self, workdir):
         _write_overflowing_params(workdir)
         cfg = workdir / "run.cfg"
@@ -370,7 +388,8 @@ class TestCliCommands:
         _, a, b, sigma = read_params_csv(workdir / "params.csv")
         grid = TimeGrid(1.0, 24)
         bundle = simulate_paths_threaded(SdeParams(k=4, a=a, b=b, sigma=sigma),
-                                         HISTORICAL, grid, 10, 42)
+                                         HISTORICAL, grid, 10, 42, keep_times=[1.0],
+                                         keep_paths=0, keep_increments=True)
         states = {i0: recorded_ssa(bundle, 40, i0, 42)[0] for i0 in (2, 4)}
         for t, tag in ((0.25, "0.25"), (0.5, "0.5"), (1.0, "1")):
             _, written = read_rating_csv(workdir / "g" / f"occupancy_t{tag}.csv")

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        empirical_transition, piecewise_generators,
                        simulate_paths, simulation_error)
+from ratingsde import ctmc
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import expm_batch
 from ratingsde.sde import _philox_key
@@ -26,7 +27,7 @@ def flat_params(k, a, b, sigma):
 def nested_simulate(params, grid, m1, m2, i0, seed):
     """m2 rating paths from i0 on each of m1 matrix trajectories, as `ssa` runs."""
     bundle = simulate_paths(params, HISTORICAL, grid, m1, seed)
-    return sample_from_bundle(bundle, m2, i0, seed)
+    return sample_from_bundle(bundle, m2, [i0], seed)[i0]
 
 
 CONST_GEN = np.array([
@@ -57,7 +58,7 @@ class TestPiecewiseGenerators:
         grid = TimeGrid(1.0, 10)
         bundle = simulate_paths(calibrated_params, HISTORICAL, grid, 3, 4)
         gens = piecewise_generators(bundle)
-        rp = bundle.require_rpaths()
+        rp = bundle.rpaths
         factors = expm_batch(gens * grid.dt)
         rebuilt = np.empty_like(rp)
         rebuilt[:, 0] = np.eye(4)
@@ -221,20 +222,22 @@ class TestOccupancy:
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 12), 3, 4)
         for seed in (0, 1):
-            for i0 in (1, 2, 3, 4):
-                nested = sample_from_bundle(bundle, 400, i0, seed)
+            by_i0 = sample_from_bundle(bundle, 400, [1, 2, 3, 4], seed)
+            for i0, nested in by_i0.items():
                 states = recorded_ssa(bundle, 400, i0, seed)[0]
                 expect = self._bincounts(states, np.repeat(np.arange(3), 400), 3, 4)
                 assert np.array_equal(nested.occupancy, expect)
 
     def test_skipping_states_changes_no_other_output(self, calibrated_params):
-        # sample_from_bundle builds no states; its outputs equal, bit for
-        # bit, those of the same _ssa_batch call with states recorded
+        # sample_from_bundle builds no states and shares one generator
+        # tensor across the ratings; its outputs equal, bit for bit, those of
+        # each rating's own _ssa_batch call with states recorded
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 12), 3, 4)
         for seed in (0, 1):
-            for i0 in (1, 2, 3, 4):
-                nested = sample_from_bundle(bundle, 400, i0, seed)
+            by_i0 = sample_from_bundle(bundle, 400, [1, 2, 3, 4], seed)
+            assert list(by_i0) == [1, 2, 3, 4]
+            for i0, nested in by_i0.items():
                 states, dts, pds, occ = recorded_ssa(bundle, 400, i0, seed)
                 assert states.shape == (1200, 13)
                 assert np.array_equal(nested.occupancy, occ)
@@ -243,6 +246,22 @@ class TestOccupancy:
                 assert np.array_equal(nested.predefault.ravel(), pds)
                 assert nested.predefault.dtype == pds.dtype
 
+    def test_generator_tensor_built_once_per_call(self, calibrated_params,
+                                                  monkeypatch):
+        build, calls = ctmc.piecewise_generators, []
+        monkeypatch.setattr(ctmc, "piecewise_generators",
+                            lambda bundle: calls.append(1) or build(bundle))
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 12), 3, 4)
+        assert len(sample_from_bundle(bundle, 10, [1, 2, 3], 0)) == 3
+        assert len(calls) == 1
+
+    def test_sampling_rejects_an_initial_rating_off_the_scale(self, calibrated_params):
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 12), 3, 4)
+        with pytest.raises(ValidationError, match="initial rating"):
+            sample_from_bundle(bundle, 10, [1, 5], 0)
+
     def test_sampling_holds_no_per_path_states(self, calibrated_params):
         # the (M1*M2, N+1) int8 state matrix alone would take 2.40 MB here
         m1, m2 = 2, 1000
@@ -250,7 +269,7 @@ class TestOccupancy:
         bundle = simulate_paths(calibrated_params, HISTORICAL, grid, m1, 0)
         tracemalloc.start()
         try:
-            nested = sample_from_bundle(bundle, m2, 1, 0)
+            nested = sample_from_bundle(bundle, m2, [1], 0)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,7 +337,7 @@ class TestEmpiricalTransition:
     def test_simulation_error_zero_for_frozen_chain(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
         bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0)
-        nested = {i0: sample_from_bundle(bundle, 10, i0, 0) for i0 in (1, 2, 3)}
+        nested = sample_from_bundle(bundle, 10, [1, 2, 3], 0)
         assert simulation_error(nested, 1.0) <= 1e-12
 
     def test_simulation_error_over_sampled_rows(self, calibrated_params):
@@ -326,13 +345,13 @@ class TestEmpiricalTransition:
         # row, divided by rows * K
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 10), 3, 5)
-        nested = sample_from_bundle(bundle, 200, 2, 5)
+        nested = sample_from_bundle(bundle, 200, [2], 5)[2]
         states = recorded_ssa(bundle, 200, 2, 5)[0].reshape(3, 200, -1)
         emp = np.zeros((3, 2, 4))
         emp[:, 0] = [np.bincount(row - 1, minlength=4) / 200
                      for row in states[:, :, -1]]
         emp[:, 1, 3] = 1.0
-        model = bundle.require_rpaths()[:, -1][:, [1, 3]]
+        model = bundle.rpaths[:, -1][:, [1, 3]]
         expect = np.linalg.norm(model - emp, axis=(1, 2)).mean() / 8
         assert np.isclose(simulation_error({2: nested}, 1.0), expect,
                           rtol=1e-12, atol=0)

@@ -1,6 +1,7 @@
 """Coefficient SDE, measure changes, geometric Euler scheme, densities."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ratingsde import (HISTORICAL, MeasureChange, NumericalError, SdeParams,
 from ratingsde import sde
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 from ratingsde.sde import _philox4x32, _products, draw_noise, simulate_terminal
+from ratingsde.svgplot import _FAN_PATHS
 
 
 def flat_params(k, a, b, sigma):
@@ -49,7 +51,7 @@ class TestSimulatePaths:
     def test_degenerate_params_freeze_at_identity(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
         bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 10), 3, 0)
-        assert np.allclose(bundle.require_rpaths(),
+        assert np.allclose(bundle.rpaths,
                            np.broadcast_to(np.eye(4), (3, 11, 4, 4)))
 
     def test_deterministic_ode_oracle(self):
@@ -58,13 +60,13 @@ class TestSimulatePaths:
         grid = TimeGrid(1.0, 4000)
         params = flat_params(2, 1.0, lam, 0.0)
         bundle = simulate_paths(params, HISTORICAL, grid, 1, 0)
-        p12 = bundle.require_rpaths()[0, -1, 0, 1]
+        p12 = bundle.rpaths[0, -1, 0, 1]
         assert p12 == pytest.approx(1.0 - np.exp(-lam / 2.0), abs=2e-4)
 
     def test_all_steps_row_stochastic(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 30), 50, 1)
-        rp = bundle.require_rpaths()
+        rp = bundle.rpaths
         assert np.abs(rp.sum(axis=-1) - 1.0).max() <= 1e-9
         assert rp.min() >= 0.0 and rp.max() <= 1.0 + 1e-12
         assert np.allclose(rp[:, :, -1, :], np.broadcast_to(
@@ -85,21 +87,53 @@ class TestSimulatePaths:
                             sigma=params.sigma)
         b_q = simulate_paths(params, measure, grid, 20, 3)
         b_p = simulate_paths(shifted, HISTORICAL, grid, 20, 3)
-        assert np.array_equal(b_q.require_rpaths(), b_p.require_rpaths())
+        assert np.array_equal(b_q.rpaths, b_p.rpaths)
 
     def test_seed_determinism(self, calibrated_params):
         g = TimeGrid(1.0, 15)
         b1 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11)
         b2 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11)
-        assert np.array_equal(b1.require_rpaths(), b2.require_rpaths())
+        assert np.array_equal(b1.rpaths, b2.rpaths)
 
     def test_chunked_matches_single_call_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        chunked = simulate_paths_threaded(calibrated_params, HISTORICAL, g,
-                                          600, 5)    # 3 chunks of <= 256
         single = simulate_paths(calibrated_params, HISTORICAL, g, 600, 5)
-        assert np.array_equal(chunked.require_rpaths(), single.require_rpaths())
-        assert np.array_equal(chunked.increments, single.increments)
+        for keep_paths, keep_increments in ((50, False), (300, True), (0, True)):
+            chunked = simulate_paths_threaded(     # 3 chunks of <= 256
+                calibrated_params, HISTORICAL, g, 600, 5, keep_times=[1.0, 0.2, 1.0],
+                keep_paths=keep_paths, keep_increments=keep_increments)
+            assert chunked.kept == (3, 15)
+            assert np.array_equal(chunked.matrices, single.rpaths[:, [3, 15]])
+            for t, idx in ((0.2, 3), (1.0, 15)):
+                assert np.array_equal(chunked.matrices_at(t), single.rpaths[:, idx])
+            assert np.array_equal(chunked.rpaths, single.rpaths[:keep_paths])
+            if keep_increments:
+                assert np.array_equal(chunked.increments, single.increments)
+            else:
+                assert chunked.increments is None
+
+    def test_matrices_at_a_time_not_kept_raises(self, calibrated_params):
+        bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
+                                         TimeGrid(1.0, 15), 20, 5, keep_times=[1.0],
+                                         keep_paths=0, keep_increments=False)
+        assert bundle.matrices_at(1.0).shape == (20, 4, 4)
+        for read in (bundle.matrices_at, lambda t: mean_matrix(bundle, t)):
+            with pytest.raises(ValidationError, match="not kept"):
+                read(0.2)
+
+    def test_executor_holds_less_than_the_full_path_array(self, calibrated_params):
+        # simulate's arguments at the paper's size; the (M, N+1, K, K) array
+        # of every R_k that the executor no longer holds takes 15.5 MB
+        m, grid = 1000, TimeGrid(1.0, 120)
+        tracemalloc.start()
+        try:
+            simulate_paths_threaded(calibrated_params, HISTORICAL, grid, m, 0,
+                                    keep_times=[1 / 12, 0.25, 0.5, 1.0, 1.0],
+                                    keep_paths=_FAN_PATHS, keep_increments=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (grid.steps + 1) * 4 * 4 * 8
 
     def test_skipping_products_keeps_increments_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
@@ -119,7 +153,7 @@ class TestSimulatePaths:
         g = TimeGrid(1.0, 15)
         bundle = simulate_paths(calibrated_params, HISTORICAL, g, 6, 9)
         rt = simulate_terminal(calibrated_params, HISTORICAL, g, draw_noise(4, g, 6, 9))
-        assert np.array_equal(bundle.require_rpaths()[:, -1], rt)
+        assert np.array_equal(bundle.rpaths[:, -1], rt)
 
     @pytest.mark.parametrize("shape", [(0, 15, 9), (6, 14, 9), (6, 15, 4), (15, 9)])
     def test_terminal_rejects_misshapen_noise(self, calibrated_params, shape):
@@ -131,11 +165,11 @@ class TestSimulatePaths:
         # halving dt changes the terminal matrix at O(dt) on a smoke test
         params = flat_params(4, 1.3, 0.3, 0.0)
         ref = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 512), 1, 0)
-        r_ref = ref.require_rpaths()[0, -1]
+        r_ref = ref.rpaths[0, -1]
         errs = []
         for n in (32, 64, 128):
             b = simulate_paths(params, HISTORICAL, TimeGrid(1.0, n), 1, 0)
-            errs.append(np.linalg.norm(b.require_rpaths()[0, -1] - r_ref))
+            errs.append(np.linalg.norm(b.rpaths[0, -1] - r_ref))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.35)
 
