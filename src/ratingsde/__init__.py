@@ -20,9 +20,8 @@ from .calibrate import (HistCalibrationSpec, PdTargets, PropertyReport,
                         hist_residual, property_report, rn_residual)
 from .ctmc import (NestedPaths, empirical_transition, piecewise_generators,
                    sample_from_bundle, simulation_error)
-from .xva import (CsaTerms, PortfolioSpec, XvaResult, collateral_path,
-                  compute_xva, perfect_terms, predefault_distribution,
-                  simulate_portfolio, simulate_xva_paths,
-                  uncollateralized_terms, xva_by_regime)
+from .xva import (CsaTerms, PortfolioSpec, XvaResult, compute_xva,
+                  perfect_terms, predefault_distribution, simulate_portfolio,
+                  simulate_xva_paths, uncollateralized_terms, xva_by_regime)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -308,9 +308,9 @@ def _cmd_ssa(args) -> int:
     k = cfg.k
     m1 = cfg.get_int("sim.m1", 100)
     m2 = cfg.get_int("sim.m2", 1000)
-    # the generator tensor, one chunk's matrix paths and the per-path arrays
+    # the intensities, one chunk's matrix paths and the per-path arrays
     _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
-                         (m1, grid.steps, k, k, 8),
+                         (m1, grid.steps, n_coords(k), 8),
                          (min(m1, _CHUNK), grid.steps + 1, k, k, 8), (m1, m2, 8))
     initial = cfg.get_floats("ssa.initial")
     if initial is not None and (

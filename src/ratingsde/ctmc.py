@@ -1,14 +1,14 @@
 """Nested rating-path sampling from simulated matrix trajectories.
 
 Each matrix trajectory defines a piecewise-homogeneous CTMC: on grid
-interval k the generator is the step's coordinate increment divided by
-dt.  Rating paths are sampled event by event on the integrated hazard
-(the next-reaction method for time-dependent rates): each jump draws an
-Exp(1) budget, finds the time at which the current state's cumulative
-hazard exceeds it, then draws the destination from the off-diagonal
-intensities of that interval.  Event e of path p uses the counter-based
-draws for (seed, stream, p, e), so a path's draws do not depend on the
-batch it is sampled in.
+interval k the off-diagonal intensities are the step's coordinate
+increments divided by dt.  Rating paths are sampled event by event on the
+integrated hazard (the next-reaction method for time-dependent rates):
+each jump draws an Exp(1) budget, finds the time at which the current
+state's cumulative hazard exceeds it, then draws the destination from the
+current state's intensities on that interval.  Event e of path p uses the
+counter-based draws for (seed, stream, p, e), so a path's draws do not
+depend on the batch it is sampled in.
 """
 
 from __future__ import annotations
@@ -18,42 +18,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lie import coeffs_to_matrices
 from .sde import MatrixPathBundle, TimeGrid, _counter_uniforms, _philox_key
 
 _SSA_STREAM_TAG = 0x55A
 
 
 def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
-    """Per-trajectory generator sequences, shape (M, N, K, K).
+    """Per-trajectory off-diagonal intensities, shape (M, N, K-1, K-1).
 
-    Interval k carries the step-k coordinate increments divided by dt, so
-    exp(gen_k * dt) reproduces the bundle's step factor exactly.
+    Entry [m, i, s, d] is the rate on grid interval i from rating s+1 to
+    rating d + (d >= s) + 1: the step-i coordinate increments divided by
+    dt, in lie.basis_index_map order.  The generator they fill, times dt,
+    exponentiates to the bundle's step factor.
     """
-    return coeffs_to_matrices(bundle.increments / bundle.grid.dt, bundle.k)
+    inc = bundle.increments
+    return (inc / bundle.grid.dt).reshape(inc.shape[:2] + (bundle.k - 1,) * 2)
 
 
 def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
                grid: TimeGrid, key: np.ndarray, path_offset: int = 0,
                occupancy: np.ndarray | None = None, record_states: bool = True):
-    """Event-driven SSA across paths with per-path generator sequences.
+    """Event-driven SSA across paths with per-path intensity sequences.
 
-    gens: (G, N, K, K); gen_index: (P,) path -> generator; i0: (P,) 1-based.
+    gens: (G, N, K-1, K-1) intensities as `piecewise_generators` returns
+    them; gen_index: (P,) path -> sequence; i0: (P,) 1-based.
     Event e of path p draws from the Philox counter (path_offset + p, e)
     under `key`, so a path's draws do not depend on the batch it runs in.
     Returns (states (P, N+1) int8, default_time (P,), predefault (P,) int8);
     states is the transposed view of a time-major (N+1, P) array.  With
     `record_states` false no per-path states are built and states is an
     empty (P, 0) array; the other outputs are the same bits.  If given,
-    `occupancy` (G, N+1, K), integer, receives for each generator g and grid
+    `occupancy` (G, N+1, K), integer, receives for each sequence g and grid
     index j the number of g's paths in each state at j, counted from the
     jump events.
     """
     p = gen_index.size
-    g, n, k = gens.shape[:3]
+    g, n = gens.shape[:2]
+    k = gens.shape[2] + 1                     # the absorbing rating has no row
     times = grid.times
-    rates = -np.diagonal(gens, axis1=2, axis2=3)             # (G, N, K)
-    hazard = np.zeros((g, k, n + 1))                         # H[g, s, j]
+    # exit rates (G, N, K-1), each row added in order; slice adds, since
+    # .sum over the short last axis is several times slower
+    rates = gens[..., 0].copy()
+    for d in range(1, k - 1):
+        rates += gens[..., d]
+    hazard = np.zeros((g, k - 1, n + 1))                     # H[g, s, j]
     np.cumsum(rates.transpose(0, 2, 1) * grid.dt, axis=2, out=hazard[:, :, 1:])
 
     cur = np.asarray(i0, dtype=np.int64) - 1
@@ -93,11 +101,10 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
         j = hi - 1
         tau = times[j] + (target - hazard[gl, s, j]) / rates[gl, j, s]
         tau = np.clip(tau, t, times[j + 1])       # round-off at the ends
-        rows = gens[gl, j, s, :].copy()
-        rows[np.arange(live.size), s] = 0.0
-        cum = np.cumsum(rows, axis=1)
+        cum = np.cumsum(gens[gl, j, s], axis=1)
         # u_dest < 1, so the threshold lies below the row's own total
-        dest = np.argmax(cum > (u_dest * cum[:, -1])[:, None], axis=1)
+        d = np.argmax(cum > (u_dest * cum[:, -1])[:, None], axis=1)
+        dest = d + (d >= s)                       # skip the diagonal
         if record_states:
             states[j + 1, live] += (dest - s).astype(np.int8)
         if occupancy is not None:
@@ -138,7 +145,7 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, initial: list[int],
     """SSA-sample m2 paths per matrix trajectory of an existing bundle, for
     each initial rating in `initial`; returns {rating: NestedPaths}.
 
-    The generator tensor is built once and shared by the ratings; each
+    The intensities are computed once and shared by the ratings; each
     rating draws from its own Philox key.  Keeps the occupancy counts,
     default times and pre-default ratings, all taken from the jump events;
     the per-path states are not built.

@@ -5,7 +5,8 @@ random volatilities and lifetimes (a synthetic netting set, not real
 deals).  Collateral at a posting date is the closed form
 C = (V + rho_B)^- + (V - rho_C)^+ with thresholds looked up from each
 party's current rating; the account is a cash balance, held between
-postings and frozen at the first default.  CVA/DVA average the
+postings and frozen at the first default, so only its value at the last
+posting before that default is computed.  CVA/DVA average the
 LGD-weighted unsecured exposure at the first default; discounting is
 zero throughout.
 """
@@ -24,9 +25,6 @@ from .ctmc import piecewise_generators, _ssa_batch
 _PORTFOLIO_STATIC_TAG = 0x90F
 _PORTFOLIO_PATH_TAG = 0x91F
 _XVA_PARTY_TAG = {"B": 0xB0, "C": 0xC0}
-# Trajectories per chunk; bounds memory only, since every draw is keyed on
-# the global trajectory index.
-_XVA_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -149,42 +147,11 @@ def posting_indices(grid: TimeGrid, postings_per_year: int) -> np.ndarray:
 
 def _posting_values(v_post: np.ndarray, xb_post: np.ndarray, xc_post: np.ndarray,
                     terms: CsaTerms) -> np.ndarray:
-    """Closed-form collateral balance at the posting dates; C at t0 is 0."""
+    """Closed-form collateral balance posted at the given values and ratings."""
     rho_b = terms.thresholds_bank[xb_post - 1]
     rho_c = terms.thresholds_cpty[xc_post - 1]
     with np.errstate(invalid="ignore"):
-        c = np.minimum(v_post + rho_b, 0.0) + np.maximum(v_post - rho_c, 0.0)
-    c[..., 0] = 0.0
-    return c
-
-
-def collateral_path(v: np.ndarray, xb: np.ndarray, xc: np.ndarray, terms: CsaTerms,
-                    grid: TimeGrid, tau: float | None = None) -> np.ndarray:
-    """Collateral balance on the grid for one trajectory.
-
-    Updated at posting dates, held in between, and frozen at the value of
-    the last posting date strictly before the first default time `tau`.
-    """
-    v = np.asarray(v, dtype=float)
-    xb = np.asarray(xb)
-    xc = np.asarray(xc)
-    if v.shape != (grid.steps + 1,) or xb.shape != v.shape or xc.shape != v.shape:
-        raise ValidationError("paths must all have grid length N+1")
-    pidx = posting_indices(grid, terms.postings_per_year)
-    cp = _posting_values(v[pidx], xb[pidx], xc[pidx], terms)
-    t_post = grid.times[pidx]
-    if tau is not None:
-        live = t_post < tau - 1e-15
-        if not live.any():
-            cp[:] = 0.0
-        else:
-            last = np.nonzero(live)[0].max()
-            cp[last + 1:] = cp[last]
-    # Forward-fill posting values onto the grid.
-    c = np.empty(grid.steps + 1)
-    holder = np.searchsorted(pidx, np.arange(grid.steps + 1), side="right") - 1
-    c[:] = cp[holder]
-    return c
+        return np.minimum(v_post + rho_b, 0.0) + np.maximum(v_post - rho_c, 0.0)
 
 
 @dataclass(frozen=True)
@@ -230,9 +197,6 @@ def compute_xva(v: np.ndarray, xb: np.ndarray, tau_b: np.ndarray,
     tau = np.where(bank_first | simultaneous, tau_b, tau_c)
 
     pidx = posting_indices(grid, terms.postings_per_year)
-    t_post = grid.times[pidx]
-    cp = _posting_values(v[:, pidx], np.asarray(xb)[:, pidx],
-                         np.asarray(xc)[:, pidx], terms)
 
     defaulted = bank_first | cpty_first
     cva_contrib = np.zeros(m)
@@ -241,9 +205,14 @@ def compute_xva(v: np.ndarray, xb: np.ndarray, tau_b: np.ndarray,
         didx = np.nonzero(defaulted)[0]
         gi = np.searchsorted(grid.times, tau[didx] - 1e-12, side="left")
         v_tau = v[didx, gi]
-        # last posting strictly before the default grid point
-        pj = np.searchsorted(t_post, grid.times[gi] - 1e-12, side="left") - 1
-        c_tau = np.where(pj >= 0, cp[didx, np.maximum(pj, 0)], 0.0)
+        # last posting strictly before the default grid point; the account
+        # is empty until the first posting after t0
+        pj = np.searchsorted(grid.times[pidx], grid.times[gi] - 1e-12,
+                             side="left") - 1
+        gp = pidx[np.maximum(pj, 0)]
+        c_tau = np.where(pj >= 1, _posting_values(
+            v[didx, gp], np.asarray(xb)[didx, gp], np.asarray(xc)[didx, gp],
+            terms), 0.0)
         pos = np.maximum(v_tau, 0.0) - np.maximum(c_tau, 0.0)
         neg = np.minimum(v_tau, 0.0) - np.minimum(c_tau, 0.0)
         cva_contrib[didx] = np.where(cpty_first[didx], terms.lgd_cpty * pos, 0.0)
@@ -315,9 +284,10 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
     """Simulate portfolio values and both parties' rating paths.
 
     Bank and counterparty paths use independent streams but share the
-    same matrix trajectory.  Only the generator increments are simulated,
-    in chunks of _XVA_CHUNK trajectories; the chunks bound memory only, as
-    each party's SSA draws are keyed on the global trajectory index.
+    same matrix trajectory, sampled from its intensities.  Only the
+    increments are simulated, in chunks of sde._CHUNK trajectories; the
+    chunks bound memory only, as each party's SSA draws are keyed on the
+    global trajectory index.
     """
     k = params.k
     for name, rating in (("bank_rating", bank_rating), ("cpty_rating", cpty_rating)):
@@ -331,11 +301,11 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
     pre_b = np.empty(m, dtype=np.int8)
     pre_c = np.empty(m, dtype=np.int8)
 
-    from .sde import simulate_paths
+    from .sde import _CHUNK, simulate_paths
 
     keys = {party: _philox_key([seed, tag]) for party, tag in _XVA_PARTY_TAG.items()}
-    for off in range(0, m, _XVA_CHUNK):
-        size = min(_XVA_CHUNK, m - off)
+    for off in range(0, m, _CHUNK):
+        size = min(_CHUNK, m - off)
         bundle = simulate_paths(params, measure, grid, size, seed,
                                 store_rpaths=False, traj_offset=off)
         gens = piecewise_generators(bundle)

@@ -52,6 +52,15 @@ def calibrated_params() -> SdeParams:
     return SdeParams(k=4, a=a, b=b, sigma=sigma)
 
 
+def off_diagonal(gen: np.ndarray) -> np.ndarray:
+    """The intensities of generators (..., K, K) in the layout
+    ``piecewise_generators`` returns, (..., K-1, K-1): row s of the
+    transient rows without its diagonal entry."""
+    k = gen.shape[-1]
+    rows, cols = np.nonzero(~np.eye(k, dtype=bool)[:-1])
+    return gen[..., rows, cols].reshape(gen.shape[:-2] + (k - 1, k - 1))
+
+
 def recorded_ssa(bundle, m2: int, i0: int, seed: int):
     """The `_ssa_batch` call of ``sample_from_bundle(bundle, m2, i0, seed)``,
     with per-path states recorded.

@@ -30,7 +30,7 @@ from ratingsde.datasets import (cohort_1y, data_path, pd_scenario,
 from ratingsde.sde import _philox_key, draw_noise
 
 from conftest import (ADJUSTED_PUBLISHED, DISTANCE_PUBLISHED, PRINT_TOL,
-                      run_cli)
+                      off_diagonal, run_cli)
 
 GRID_FINE = TimeGrid(1.0, 120)
 SEED = 11
@@ -174,8 +174,9 @@ def test_criterion_07_ssa_oracle(nested_p):
     target = scipy_expm(gen)
     worst_z = 0.0
     for i0 in (1, 2, 3):
-        states, _, _ = _ssa_batch(gen[None, None], np.zeros(n, dtype=int),
-                                  np.full(n, i0), grid, _philox_key([107, i0]))
+        states, _, _ = _ssa_batch(off_diagonal(gen)[None, None],
+                                  np.zeros(n, dtype=int), np.full(n, i0), grid,
+                                  _philox_key([107, i0]))
         freq = np.bincount(states[:, -1] - 1, minlength=4) / n
         se = np.sqrt(target[i0 - 1] * (1 - target[i0 - 1]) / n)
         z = np.abs(freq - target[i0 - 1]) / np.maximum(se, 1e-12)

@@ -12,10 +12,10 @@ from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        simulate_paths, simulation_error)
 from ratingsde import ctmc
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
-from ratingsde.lie import expm_batch
+from ratingsde.lie import coeffs_to_matrices, expm_batch
 from ratingsde.sde import _philox_key
 
-from conftest import recorded_ssa
+from conftest import off_diagonal, recorded_ssa
 
 
 def flat_params(k, a, b, sigma):
@@ -43,7 +43,7 @@ class TestPiecewiseGenerators:
         params = flat_params(4, 1.0, 0.0, 0.0)
         bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0)
         gens = piecewise_generators(bundle)
-        assert np.array_equal(gens, np.zeros((2, 5, 4, 4)))
+        assert np.array_equal(gens, np.zeros((2, 5, 3, 3)))
 
     def test_constant_rate_k2(self):
         lam = 0.6
@@ -52,12 +52,14 @@ class TestPiecewiseGenerators:
         bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 4), 1, 0)
         gens = piecewise_generators(bundle)
         assert np.allclose(gens, np.broadcast_to(
-            np.array([[-lam, lam], [0.0, 0.0]]), (1, 4, 2, 2)), atol=1e-12)
+            off_diagonal(np.array([[-lam, lam], [0.0, 0.0]])), (1, 4, 1, 1)),
+            atol=1e-12)
 
     def test_exp_of_generator_reproduces_step_factor(self, calibrated_params):
         grid = TimeGrid(1.0, 10)
         bundle = simulate_paths(calibrated_params, HISTORICAL, grid, 3, 4)
-        gens = piecewise_generators(bundle)
+        gens = coeffs_to_matrices(
+            piecewise_generators(bundle).reshape(3, 10, 9), 4)
         rp = bundle.rpaths
         factors = expm_batch(gens * grid.dt)
         rebuilt = np.empty_like(rp)
@@ -66,6 +68,28 @@ class TestPiecewiseGenerators:
             rebuilt[:, s + 1] = rebuilt[:, s] @ factors[:, s]
             rebuilt[:, s + 1, -1, :] = np.eye(4)[-1]
         assert np.allclose(rebuilt, rp, atol=1e-13)
+
+    def test_intensities_are_the_generator_off_diagonal(self):
+        # entry [g, i, s, d] is the generator's [s, d + (d >= s)], and each
+        # row's entries added in order give its negated diagonal bit for bit
+        for k in range(2, 8):
+            params = SdeParams(k=k, a=np.full((k - 1) ** 2, 1.0),
+                               b=np.linspace(0.1, 2.0, (k - 1) ** 2),
+                               sigma=np.linspace(0.2, 1.5, (k - 1) ** 2),
+                               y0=np.linspace(0.05, 3.0, (k - 1) ** 2))
+            bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 24), 5, k,
+                                    store_rpaths=False)
+            inten = piecewise_generators(bundle)
+            gens = coeffs_to_matrices(bundle.increments / bundle.grid.dt, k)
+            assert inten.shape == (5, 24, k - 1, k - 1)
+            for s in range(k - 1):
+                for d in range(k - 1):
+                    assert np.array_equal(inten[..., s, d],
+                                          gens[..., s, d + (d >= s)])
+                row_sum = inten[..., s, 0].copy()
+                for d in range(1, k - 1):
+                    row_sum += inten[..., s, d]
+                assert np.array_equal(row_sum, -gens[..., s, s])
 
 
 def _ssa_one_gen(gen_path, grid, i0, n, key):
@@ -76,14 +100,14 @@ def _ssa_one_gen(gen_path, grid, i0, n, key):
 
 class TestSsaSample:
     def test_absorbing_start_is_constant(self):
-        states, dts, _ = _ssa_one_gen(np.broadcast_to(CONST_GEN, (6, 4, 4)),
-                                      TimeGrid(1.0, 6), 4, 1, _philox_key([0]))
+        gens = off_diagonal(np.broadcast_to(CONST_GEN, (6, 4, 4)))
+        states, dts, _ = _ssa_one_gen(gens, TimeGrid(1.0, 6), 4, 1, _philox_key([0]))
         assert np.all(states == 4)
         assert dts[0] == 0.0
 
     def test_zero_generator_holds_state(self):
-        states, dts, _ = _ssa_one_gen(np.zeros((6, 4, 4)), TimeGrid(1.0, 6),
-                                      2, 1, _philox_key([0]))
+        states, dts, _ = _ssa_one_gen(off_diagonal(np.zeros((6, 4, 4))),
+                                      TimeGrid(1.0, 6), 2, 1, _philox_key([0]))
         assert np.all(states == 2)
         assert np.isnan(dts[0])
 
@@ -91,7 +115,8 @@ class TestSsaSample:
         lam, delta = 1.4, 0.5
         gen = np.array([[[-lam, lam], [0.0, 0.0]]])
         n = 20000
-        states, _, _ = _ssa_one_gen(gen, TimeGrid(delta, 1), 1, n, _philox_key([5]))
+        states, _, _ = _ssa_one_gen(off_diagonal(gen), TimeGrid(delta, 1), 1, n,
+                                    _philox_key([5]))
         stay = np.count_nonzero(states[:, -1] == 1)
         p = np.exp(-lam * delta)
         assert abs(stay / n - p) <= 3 * np.sqrt(p * (1 - p) / n)
@@ -103,8 +128,9 @@ class TestSsaSample:
         gen[:, :] = 0.0
         gen[0] = CONST_GEN[0]
         n = 20000
-        states, _, _ = _ssa_batch(gen[None, None], np.zeros(n, dtype=int),
-                                  np.ones(n, dtype=int), grid, _philox_key([6]))
+        states, _, _ = _ssa_batch(off_diagonal(gen)[None, None],
+                                  np.zeros(n, dtype=int), np.ones(n, dtype=int),
+                                  grid, _philox_key([6]))
         first = states[:, -1]
         jumped = first != 1
         freq = np.bincount(first[jumped] - 1, minlength=4)[1:]
@@ -116,7 +142,8 @@ class TestSsaSample:
         # with K=2 the first jump is the default
         lam = 0.9
         gen = np.array([[[-lam, lam], [0.0, 0.0]]])
-        _, dts, _ = _ssa_one_gen(gen, TimeGrid(60.0, 1), 1, 4000, _philox_key([7]))
+        _, dts, _ = _ssa_one_gen(off_diagonal(gen), TimeGrid(60.0, 1), 1, 4000,
+                                 _philox_key([7]))
         ks = stats.kstest(dts[~np.isnan(dts)], "expon", args=(0, 1 / lam))
         assert ks.pvalue > 0.01
 
@@ -125,7 +152,7 @@ class TestSsaBatch:
     def test_matches_matrix_exponential(self):
         grid = TimeGrid(1.0, 1)
         n = 50000
-        states, _, _ = _ssa_batch(CONST_GEN[None, None],
+        states, _, _ = _ssa_batch(off_diagonal(CONST_GEN)[None, None],
                                   np.zeros(n, dtype=int),
                                   np.full(n, 2), grid, _philox_key([8]))
         freq = np.bincount(states[:, -1] - 1, minlength=4) / n
@@ -135,8 +162,8 @@ class TestSsaBatch:
 
     def test_default_times_recorded_exactly(self):
         grid = TimeGrid(1.0, 4)
-        states, dts, pds = _ssa_batch(CONST_GEN[None, None].repeat(4, axis=1),
-                                      np.zeros(2000, dtype=int),
+        gens = off_diagonal(CONST_GEN)[None, None].repeat(4, axis=1)
+        states, dts, pds = _ssa_batch(gens, np.zeros(2000, dtype=int),
                                       np.full(2000, 3), grid, _philox_key([9]))
         defaulted = ~np.isnan(dts)
         assert defaulted.any()
@@ -158,8 +185,9 @@ class TestSsaBatch:
         gens = np.where((np.arange(12) % 2 == 0)[:, None, None],
                         CONST_GEN, other) * scale[:, None, None]
         n = 50000
-        states, _, _ = _ssa_batch(gens[None], np.zeros(n, dtype=int),
-                                  np.full(n, 1), grid, _philox_key([10]))
+        states, _, _ = _ssa_batch(off_diagonal(gens)[None],
+                                  np.zeros(n, dtype=int), np.full(n, 1), grid,
+                                  _philox_key([10]))
         target = np.eye(4)
         for g in gens:
             target = target @ expm(g * grid.dt)
@@ -202,7 +230,7 @@ class TestOccupancy:
                                 TimeGrid(1.0, 24), 2, 3, store_rpaths=False)
         gens = piecewise_generators(bundle)
         last_only = np.zeros_like(gens[:1])
-        last_only[0, -1] = CONST_GEN * 20.0
+        last_only[0, -1] = off_diagonal(CONST_GEN) * 20.0
         gens = np.concatenate([gens * 50.0, gens, last_only,
                                np.zeros_like(gens[:1])])
         p, n = 1200, bundle.grid.steps

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from ratingsde import (HISTORICAL, CsaTerms, PortfolioSpec, TimeGrid,
-                       ValidationError, collateral_path, compute_xva, default_grid,
+                       ValidationError, compute_xva, default_grid,
                        perfect_terms, predefault_distribution,
                        simulate_portfolio, simulate_xva_paths,
                        uncollateralized_terms, xva_by_regime)
-from ratingsde import xva
-from ratingsde.xva import posting_indices
+from ratingsde import sde, xva
 from ratingsde.sde import _counter_uniforms, _philox_key
 
 
@@ -61,49 +60,6 @@ class TestSimulatePortfolio:
         assert abs(sample_var - target) <= tol
 
 
-class TestCollateralPath:
-    def test_zero_thresholds_track_value(self):
-        v = np.linspace(-2.0, 3.0, 13)
-        x = np.ones(13, dtype=int)
-        c = collateral_path(v, x, x, terms_with(np.zeros(4), np.zeros(4)), GRID)
-        assert np.array_equal(c[1:], v[1:])   # posted at every grid point
-        assert c[0] == 0.0
-
-    def test_infinite_thresholds_post_nothing(self):
-        v = np.linspace(-2.0, 3.0, 13)
-        x = np.ones(13, dtype=int)
-        t = uncollateralized_terms(4, postings_per_year=12)
-        assert np.array_equal(collateral_path(v, x, x, t, GRID), np.zeros(13))
-
-    def test_closed_form_example(self):
-        # V = 7e6, bank at rating 1 (rho_B = 10e6), cpty at rating 2 (rho_C = 5e6)
-        v = np.full(13, 7e6)
-        t = terms_with([10e6, 5e6, 0, 0], [10e6, 5e6, 0, 0])
-        c = collateral_path(v, np.ones(13, dtype=int),
-                            np.full(13, 2, dtype=int), t, GRID)
-        assert np.all(c[1:] == 2e6)
-
-    def test_frozen_after_default(self):
-        v = np.linspace(0.0, 12.0, 13)
-        x = np.ones(13, dtype=int)
-        t = terms_with(np.zeros(4), np.zeros(4))
-        c = collateral_path(v, x, x, t, GRID, tau=0.51)
-        # last posting strictly before 0.51 is t = 0.5 -> frozen at v(0.5)
-        assert np.all(c[7:] == v[6])
-
-    def test_posting_dates_must_align(self):
-        t = terms_with(np.zeros(4), np.zeros(4), ppy=7)
-        with pytest.raises(ValidationError):
-            collateral_path(np.zeros(13), np.ones(13, dtype=int),
-                            np.ones(13, dtype=int), t, GRID)
-
-    def test_postings_finer_than_the_grid_are_rejected(self):
-        # checked before the dates are built: 10**400 does not fit in a float
-        for ppy in (24, 10 ** 400):
-            with pytest.raises(ValidationError, match="not a subset of the grid"):
-                posting_indices(GRID, ppy)
-
-
 def _hand_paths():
     """Two deterministic paths: one counterparty default, one bank default."""
     n = GRID.steps
@@ -115,6 +71,84 @@ def _hand_paths():
     tau_b = np.array([np.nan, 4 / 12 - 0.01])
     tau_c = np.array([7 / 12 - 0.01, np.nan])
     return v, xb, tau_b, xc, tau_c
+
+
+def _cpty_defaults(v, xc, tau_c, terms):
+    """compute_xva on paths whose counterparty alone defaults at tau_c; the
+    bank holds rating 1 throughout."""
+    xb = np.ones_like(xc)
+    return compute_xva(v, xb, np.full(len(tau_c), np.nan), xc, np.asarray(tau_c),
+                       terms, GRID)
+
+
+class TestCollateralPath:
+    """The collateral account, read by compute_xva at each defaulted
+    path's last posting before default."""
+
+    def test_zero_thresholds_track_value(self):
+        # V(t_j) = j; a default in (t_i, t_i+1) is read at t_i+1 against the
+        # posting at t_i, which holds V(t_i), so every exposure is 1
+        v = np.tile(np.arange(13.0), (11, 1))
+        x = np.ones((11, 13), dtype=np.int8)
+        tau_c = GRID.times[1:12] + 0.01
+        res = _cpty_defaults(v, x, tau_c, terms_with(np.zeros(4), np.zeros(4)))
+        assert res.cva == pytest.approx(0.6)
+        assert res.cva_se == pytest.approx(0.0, abs=1e-15)
+        assert res.defaults_cpty_first == 11
+
+    def test_infinite_thresholds_post_nothing(self):
+        v = np.tile(np.arange(13.0), (11, 1))
+        x = np.ones((11, 13), dtype=np.int8)
+        tau_c = GRID.times[1:12] + 0.01
+        res = _cpty_defaults(v, x, tau_c,
+                             uncollateralized_terms(4, postings_per_year=12))
+        assert res.cva == pytest.approx(0.6 * np.arange(2.0, 13.0).mean())
+
+    def test_closed_form_example(self):
+        # V = 7e6, bank at rating 1 (rho_B = 10e6), cpty at rating 2
+        # (rho_C = 5e6) at the last posting: C = 2e6; the rating of the
+        # default grid point, whose threshold is 0, is not read
+        v = np.full((1, 13), 7e6)
+        xc = np.full((1, 13), 2, dtype=np.int8)
+        xc[0, 7:] = 4
+        t = terms_with([10e6, 5e6, 0, 0], [10e6, 5e6, 0, 0])
+        res = _cpty_defaults(v, xc, [0.51], t)
+        assert res.cva == pytest.approx(0.6 * 5e6)
+
+    def test_frozen_after_default(self):
+        # defaults at 0.51 are read at t_7 against the posting at 0.5, which
+        # holds V(0.5); the values after t_7 are never read
+        v = np.vstack([np.arange(13.0), -np.arange(13.0)])
+        v[0, 8:] = 100.0
+        v[1, 8:] = -100.0
+        x = np.ones((2, 13), dtype=np.int8)
+        res = compute_xva(v, x, np.array([np.nan, 0.51]), x,
+                          np.array([0.51, np.nan]),
+                          terms_with(np.zeros(4), np.zeros(4)), GRID)
+        # path 0: cpty, 0.6 * (7 - 6); path 1: bank, -0.6 * (-7 - (-6))
+        assert res.cva == pytest.approx(0.6 / 2)
+        assert res.dva == pytest.approx(0.6 / 2)
+        assert res.defaults_cpty_first == 1 and res.defaults_bank_first == 1
+
+    def test_collateral_is_zero_when_default_falls_in_the_first_interval(self):
+        # the account is empty until the first posting after t0
+        v = np.full((2, 13), 5.0)
+        x = np.ones((2, 13), dtype=np.int8)
+        res = _cpty_defaults(v, x, [0.0, 0.5 / 12],
+                             terms_with(np.zeros(4), np.zeros(4)))
+        assert res.cva == pytest.approx(0.6 * 5.0)
+
+    def test_posting_dates_must_align(self):
+        t = terms_with(np.zeros(4), np.zeros(4), ppy=7)
+        with pytest.raises(ValidationError, match="not a subset of the grid"):
+            compute_xva(*_hand_paths(), t, GRID)
+
+    def test_postings_finer_than_the_grid_are_rejected(self):
+        # checked before the dates are built: 10**400 does not fit in a float
+        for ppy in (24, 10 ** 400):
+            t = terms_with(np.zeros(4), np.zeros(4), ppy=ppy)
+            with pytest.raises(ValidationError, match="not a subset of the grid"):
+                compute_xva(*_hand_paths(), t, GRID)
 
 
 class TestComputeXva:
@@ -202,7 +236,7 @@ class TestRegimeOrdering:
         assert r1 == r2
 
     def test_multi_chunk_rerun_is_identical(self, calibrated_params):
-        # 600 paths span two chunks of the fixed 512-path partition
+        # 600 paths span three chunks of the fixed 256-path partition
         portfolio = PortfolioSpec(seed=3)
         a = simulate_xva_paths(calibrated_params, HISTORICAL, GRID, 600,
                                portfolio, 5)
@@ -214,13 +248,21 @@ class TestRegimeOrdering:
 
     def test_chunk_size_does_not_change_results(self, calibrated_params,
                                                 monkeypatch):
-        # every SSA draw is keyed on the global trajectory index
+        # every SSA draw is keyed on the global trajectory index; each
+        # chunk samples both parties, so 600 paths make 2 * ceil(600 / chunk)
+        # _ssa_batch calls
+        sample, calls = xva._ssa_batch, []
+        monkeypatch.setattr(xva, "_ssa_batch",
+                            lambda *a, **kw: calls.append(1) or sample(*a, **kw))
         portfolio = PortfolioSpec(seed=3)
-        runs = []
+        runs, counts = [], []
         for chunk in (128, 512):
-            monkeypatch.setattr(xva, "_XVA_CHUNK", chunk)
+            monkeypatch.setattr(sde, "_CHUNK", chunk)
+            calls.clear()
             runs.append(simulate_xva_paths(calibrated_params, HISTORICAL,
                                            GRID, 600, portfolio, 5))
+            counts.append(len(calls))
+        assert counts == [10, 4]
         for name in ("xb", "xc", "tau_b", "tau_c", "predefault_b",
                      "predefault_c"):
             a, b = (getattr(r, name) for r in runs)
