@@ -261,10 +261,11 @@ def _cmd_simulate(args) -> int:
     checkpoints = [float(t) for t in cfg.checkpoints()]
     # the histograms read R_T, the fans every R_k of the leading paths
     keep_times = checkpoints + [grid.horizon]
-    # the kept matrices and one chunk's matrix paths
+    # the kept matrices, the fans' matrix paths and one chunk's increments
     _require_allocatable(cfg, "sim.m and grid.steps_per_year",
                          (m, len(keep_times), k, k, 8),
-                         (min(m, _CHUNK), grid.steps + 1, k, k, 8))
+                         (min(m, _FAN_PATHS), grid.steps + 1, k, k, 8),
+                         (min(m, _CHUNK), grid.steps, n_coords(k), 8))
     bundle = simulate_paths_threaded(params, cfg.measure(), grid, m, cfg.seed(),
                                      keep_times=keep_times, keep_paths=_FAN_PATHS,
                                      keep_increments=False)
@@ -308,10 +309,9 @@ def _cmd_ssa(args) -> int:
     k = cfg.k
     m1 = cfg.get_int("sim.m1", 100)
     m2 = cfg.get_int("sim.m2", 1000)
-    # the intensities, one chunk's matrix paths and the per-path arrays
+    # the intensities and the per-path arrays
     _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
-                         (m1, grid.steps, n_coords(k), 8),
-                         (min(m1, _CHUNK), grid.steps + 1, k, k, 8), (m1, m2, 8))
+                         (m1, grid.steps, n_coords(k), 8), (m1, m2, 8))
     initial = cfg.get_floats("ssa.initial")
     if initial is not None and (
             initial.size == 0 or np.any(initial != np.round(initial))

@@ -69,8 +69,9 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
     states = np.zeros((n + 1 if record_states else 0, p), dtype=np.int8)
     states[:1] = cur + 1
     if occupancy is not None:
-        occupancy[...] = 0
-        np.add.at(occupancy, (gen_index, 0, cur), 1)
+        occupancy[:, 1:] = 0
+        occupancy[:, 0] = np.bincount(gen_index * k + cur,
+                                      minlength=g * k).reshape(g, k)
     def_time = np.full(p, np.nan)
     predef = np.zeros(p, dtype=np.int8)
     def_time[cur == k - 1] = 0.0
@@ -84,7 +85,7 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
     h = np.zeros(live.size)
     event = 0
     while live.size:
-        u_wait, u_dest, _, _ = _counter_uniforms(key, path_offset + live, event)
+        u_wait, u_dest = _counter_uniforms(key, path_offset + live, event, words=2)
         gl = gen_index[live]
         target = h - np.log(u_wait)
         # paths whose budget outlasts the horizon never jump again

@@ -21,6 +21,7 @@ depend on the batch size, the chunking or the number of steps drawn.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,42 +188,57 @@ def _philox_key(seed_words: list[int]) -> np.ndarray:
     return np.random.SeedSequence(seed_words).generate_state(2, np.uint32)
 
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
-_PHILOX_W = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+# positions of the high and the low 32-bit word within a uint64
+_HI, _LO = (0, 1) if sys.byteorder == "big" else (1, 0)
+
+
+def _mulhilo(c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 32-bit words of the 64-bit products m * c, as uint32
+    views of the one product array."""
+    product = np.asarray(np.multiply(c, m, dtype=np.uint64, order="C"))
+    words = product.reshape(product.shape + (1,)).view(np.uint32)
+    return words[..., _HI], words[..., _LO]
 
 
 def _philox4x32(counter, key) -> tuple[np.ndarray, ...]:
     """Philox4x32-10 (Salmon et al., SC'11) on a batch of counters.
 
     counter: four arrays of 32-bit words, broadcast against each other;
-    key: two 32-bit words.  Returns the four output words as uint64 arrays
-    holding 32-bit values.
+    key: two 32-bit words.  Returns the four output words as uint32 arrays.
+    The counters are not broadcast up front, so the first rounds run at
+    the words' own shapes.
     """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0, k1 = (np.uint64(w) for w in key)
-    shift = np.uint64(32)
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint32) for c in counter)
+    k0, k1 = (int(w) for w in key)
     for rnd in range(10):
         if rnd:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK32
-            k1 = (k1 + _PHILOX_W[1]) & _MASK32
-        p0 = _PHILOX_M[0] * c0
-        p1 = _PHILOX_M[1] * c2
-        c0, c1, c2, c3 = ((p1 >> shift) ^ c1 ^ k0, p1 & _MASK32,
-                          (p0 >> shift) ^ c3 ^ k1, p0 & _MASK32)
+            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF
+            k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0 = np.bitwise_xor(hi1, c1)
+        c0 ^= k0                      # in place: one array per new word
+        c2 = np.bitwise_xor(hi0, c3)
+        c2 ^= k1
+        c1, c3 = lo1, lo0
     return c0, c1, c2, c3
 
 
-def _counter_uniforms(key, index: np.ndarray,
-                      event: int | np.ndarray) -> tuple[np.ndarray, ...]:
-    """Four uniforms on the open interval (0, 1) per (index, event) pair.
+def _counter_uniforms(key, index: np.ndarray, event: int | np.ndarray,
+                      words: int = 4) -> tuple[np.ndarray, ...]:
+    """Uniforms on the open interval (0, 1) per (index, event) pair: the
+    first `words` of the four, converted only as far as asked for.
 
     The counter is (index low word, index high word, event, 0); each
     32-bit output x maps to (x + 0.5) / 2**32, which is never 0 or 1.
     """
-    index = np.asarray(index, dtype=np.uint64)
-    counter = (index & _MASK32, index >> np.uint64(32), event, 0)
-    return tuple((x + 0.5) * 2.0 ** -32 for x in _philox4x32(counter, key))
+    index = np.asarray(index)
+    # a scalar high word unless some index needs one
+    high = index >> 32 if index.size and index.max() >> 32 else 0
+    counter = (index.astype(np.uint32), high, event, 0)
+    return tuple((x + 0.5) * 2.0 ** -32 for x in _philox4x32(counter, key)[:words])
 
 
 def _box_muller(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,20 +312,28 @@ def _increments(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
 _STEP_BLOCK = 4096
 
 
-def _products(increments: np.ndarray, k: int,
-              rpaths: np.ndarray | None = None) -> np.ndarray:
+def _products(increments: np.ndarray, k: int, rpaths: np.ndarray | None = None,
+              kept: tuple[int, ...] = (), matrices: np.ndarray | None = None) -> np.ndarray:
     """Terminal matrices of R_{k+1} = R_k exp(dA_k), R_0 = I; shape (M, K, K).
 
     The factors exp(dA_k) are formed max(1, _STEP_BLOCK // M) steps per
     expm_batch call, time-major, so each step's (M, K, K) factors are
-    contiguous.  When rpaths (M, N+1, K, K) is given, every R_k is written
-    into it.
+    contiguous.  When rpaths (P, N+1, K, K) is given, every R_k of the
+    leading P trajectories is written into it; when matrices
+    (M, len(kept), K, K) is given, R at each grid index in kept.
     """
     m, n, _ = increments.shape
     block = max(1, _STEP_BLOCK // m)
+    slots = {index: slot for slot, index in enumerate(kept)}
+
+    def store(index, r):
+        if rpaths is not None:
+            rpaths[:, index] = r[:len(rpaths)]
+        if index in slots:
+            matrices[:, slots[index]] = r
+
     r = np.broadcast_to(np.eye(k), (m, k, k)).copy()
-    if rpaths is not None:
-        rpaths[:, 0] = r
+    store(0, r)
     # non-finite increments give non-finite matrices, which the callers'
     # finite checks report
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,8 +344,7 @@ def _products(increments: np.ndarray, k: int,
                 r = r @ factor
                 r[:, -1, :] = 0.0            # keep the absorbing row exact
                 r[:, -1, -1] = 1.0
-                if rpaths is not None:
-                    rpaths[:, step + 1] = r
+                store(step + 1, r)
     return r
 
 
@@ -333,15 +356,18 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                   m: int, seed: int, store_rpaths: bool = True,
-                   traj_offset: int = 0) -> MatrixPathBundle:
+                   m: int, seed: int, store_rpaths: bool = True, traj_offset: int = 0,
+                   *, keep_times: list[float] | None = None,
+                   keep_paths: int = 0) -> MatrixPathBundle:
     """Group-preserving Euler simulation of M rating-matrix trajectories.
 
     The increments dA = |Y_k|^a dt depend on the driver Y alone, so the
     group products R_{k+1} = R_k exp(dA) are formed only when the matrix
-    paths are stored; the bundle then keeps every grid index of every
-    trajectory.  Raises NumericalError if any increment or stored matrix is
-    non-finite.
+    paths are stored.  The bundle then keeps every grid index of every
+    trajectory, or, given keep_times, R at those grid times for every
+    trajectory and every R_k of the leading keep_paths trajectories; only
+    what is kept is written.  Raises NumericalError if any increment or
+    kept matrix is non-finite.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -352,11 +378,19 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     _require_finite(increments, "generator increments")
     if not store_rpaths:
         return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments)
-    rpaths = np.empty((m, grid.steps + 1, k, k))
-    _products(increments, k, rpaths)
+    if keep_times is None:
+        rpaths = np.empty((m, grid.steps + 1, k, k))
+        _products(increments, k, rpaths)
+        kept, matrices = tuple(range(grid.steps + 1)), rpaths
+    else:
+        kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
+        rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
+        matrices = np.empty((m, len(kept), k, k))
+        _products(increments, k, rpaths, kept, matrices)
+        _require_finite(matrices, "rating-matrix entries")
     _require_finite(rpaths, "rating-matrix entries")
     return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths,
-                            kept=tuple(range(grid.steps + 1)), matrices=rpaths)
+                            kept=kept, matrices=matrices)
 
 
 def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
@@ -386,12 +420,11 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
     trajectory, every R_k of the leading keep_paths trajectories, and the
     increments if keep_increments.
 
-    Each chunk's full arrays are dropped before the next is simulated, so
-    at most one chunk is held beside the kept arrays.  Every draw is keyed
-    on its global trajectory index, so the kept arrays equal the same
-    slices of a single simulate_paths call bit for bit.  The chunks run one
-    after another on the calling thread: a pool of 2 workers was slower
-    than 1.
+    Each chunk writes only what is kept, and is dropped before the next is
+    simulated.  Every draw is keyed on its global trajectory index, so the
+    kept arrays equal the same slices of a single simulate_paths call bit
+    for bit.  The chunks run one after another on the calling thread: a
+    pool of 2 workers was slower than 1.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -402,10 +435,10 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
     increments = np.empty((m, grid.steps, n_coords(k))) if keep_increments else None
     for off in range(0, m, _CHUNK):
         part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
-                              traj_offset=off)
-        matrices[off:off + part.m] = part.rpaths[:, list(kept)]
-        whole = rpaths[off:off + part.m]         # empty past the leading paths
-        whole[...] = part.rpaths[:len(whole)]
+                              traj_offset=off, keep_times=keep_times,
+                              keep_paths=max(0, keep_paths - off))
+        matrices[off:off + part.m] = part.matrices
+        rpaths[off:off + len(part.rpaths)] = part.rpaths
         if increments is not None:
             increments[off:off + part.m] = part.increments
         del part                     # hold no chunk while the next is simulated

@@ -25,6 +25,8 @@ from .ctmc import piecewise_generators, _ssa_batch
 _PORTFOLIO_STATIC_TAG = 0x90F
 _PORTFOLIO_PATH_TAG = 0x91F
 _XVA_PARTY_TAG = {"B": 0xB0, "C": 0xC0}
+# Elements per block of the portfolio variance sum (4 MB of float64).
+_VAR_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ class PortfolioSpec:
         volatility by Box-Muller from words 0 and 1, its lifetime from word 2.
         """
         key = _philox_key([self.seed, _PORTFOLIO_STATIC_TAG])
-        u_radius, u_angle, u_life, _ = _counter_uniforms(key, np.arange(self.n + 1), 0)
+        u_radius, u_angle, u_life = _counter_uniforms(key, np.arange(self.n + 1), 0,
+                                                      words=3)
         z, _ = _box_muller(u_radius, u_angle)
         return self.sigma_scale * z, self.horizon * u_life[1:]
 
@@ -72,11 +75,22 @@ def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -
     # Per-step standard deviation of the aggregated increment.  Overflow
     # gives non-finite values, which the callers' finite checks report.
     t0, t1 = times[:-1], times[1:]
+    block = max(1, _VAR_BLOCK // grid.steps)
     with np.errstate(over="ignore", invalid="ignore"):
         sigmas, lifetimes = spec.draw_components()
         var = np.full(grid.steps, sigmas[0] ** 2 * grid.dt)
-        for s, l in zip(sigmas[1:], lifetimes):
-            var += s ** 2 * np.maximum(0.0, np.minimum(t1, l) - np.minimum(t0, l))
+        # Components are added in order: the running sum heads each block's
+        # rows, which accumulate adds one after another.  float_power squares
+        # by pow() as a scalar s ** 2 does; an array's ** 2 multiplies, which
+        # can differ in the last bit.
+        for start in range(0, lifetimes.size, block):
+            life = lifetimes[start:start + block, None]
+            rows = np.empty((len(life) + 1, grid.steps))
+            rows[0] = var
+            np.multiply(np.float_power(sigmas[1 + start:1 + start + block, None], 2.0),
+                        np.maximum(0.0, np.minimum(t1, life) - np.minimum(t0, life)),
+                        out=rows[1:])
+            var = np.add.accumulate(rows, out=rows)[-1]
     z = _counter_normals(_philox_key([seed, _PORTFOLIO_PATH_TAG]),
                          np.arange(m)[:, None], grid.steps)[:, :, 0]
     v = np.empty((m, grid.steps + 1))

@@ -246,6 +246,29 @@ class TestOccupancy:
             assert only_last[gen_index == 4].any()
             assert (~jumps.any(axis=1) & (i0 != 4)).any()
 
+    def test_initial_occupancy_matches_an_add_at_count(self, calibrated_params):
+        # mixed start ratings, the absorbing one included, over four
+        # sequences plus a fifth that no path uses; the array starts out
+        # holding garbage, which every column must overwrite
+        bundle = simulate_paths(calibrated_params, HISTORICAL,
+                                TimeGrid(1.0, 12), 4, 5, store_rpaths=False)
+        gens = np.concatenate([piecewise_generators(bundle) * 30.0,
+                               np.zeros_like(piecewise_generators(bundle)[:1])])
+        rng = np.random.default_rng(8)
+        p, g, n = 900, 5, bundle.grid.steps
+        gen_index = rng.integers(0, 4, p)
+        i0 = rng.integers(1, 5, p)
+        assert (i0 == 4).any()
+        ref = np.zeros((g, 4), dtype=np.int64)
+        np.add.at(ref, (gen_index, i0 - 1), 1)
+        occ = np.full((g, n + 1, 4), -7, dtype=np.int64)
+        states, _, _ = _ssa_batch(gens, gen_index, i0, bundle.grid,
+                                  _philox_key([21]), occupancy=occ)
+        assert np.array_equal(occ[:, 0], ref)
+        assert np.array_equal(occ, self._bincounts(states, gen_index, g, 4))
+        assert not occ[4].any()
+        assert (states[:, -1] != i0).any()               # later columns moved
+
     def test_nested_occupancy_counts_the_states(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 12), 3, 4)

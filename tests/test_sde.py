@@ -12,7 +12,8 @@ from ratingsde import (HISTORICAL, MeasureChange, NumericalError, SdeParams,
                        simulate_paths_threaded, var_matrix)
 from ratingsde import sde
 from ratingsde.lie import coeffs_to_matrices, expm_batch
-from ratingsde.sde import _philox4x32, _products, draw_noise, simulate_terminal
+from ratingsde.sde import (_counter_uniforms, _philox4x32, _products, draw_noise,
+                           simulate_terminal)
 from ratingsde.svgplot import _FAN_PATHS
 
 
@@ -348,6 +349,87 @@ class TestRngContract:
         assert abs(np.corrcoef(first, second)[0, 1]) <= bound
         assert abs(np.corrcoef(first ** 2, second ** 2)[0, 1]) <= bound
 
+
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+
+
+def _philox4x32_uint64(counter, key):
+    """Oracle: Philox4x32-10 with every word held in uint64 and each product
+    split by a shift and a mask."""
+    mult = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+    weyl = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = (np.uint64(w) for w in key)
+    shift = np.uint64(32)
+    for rnd in range(10):
+        if rnd:
+            k0 = (k0 + weyl[0]) & _MASK32
+            k1 = (k1 + weyl[1]) & _MASK32
+        p0 = mult[0] * c0
+        p1 = mult[1] * c2
+        c0, c1, c2, c3 = ((p1 >> shift) ^ c1 ^ k0, p1 & _MASK32,
+                          (p0 >> shift) ^ c3 ^ k1, p0 & _MASK32)
+    return c0, c1, c2, c3
+
+
+class TestPhiloxOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_words_match_the_uint64_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        # half of the words at or above 2**31, where a signed or a 31-bit
+        # slip would show
+        counter = [np.where(rng.random(5000) < 0.5,
+                            rng.integers(2 ** 31, 2 ** 32, 5000, dtype=np.uint64),
+                            rng.integers(0, 2 ** 32, 5000, dtype=np.uint64))
+                   for _ in range(4)]
+        key = rng.integers(2 ** 31, 2 ** 32, 2, dtype=np.uint64)
+        for got, want in zip(_philox4x32(counter, key), _philox4x32_uint64(counter, key)):
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shapes", [
+        ((), (), (), ()),
+        ((7,), (), (), ()),
+        ((3, 1, 5), (), (4, 1), ()),
+        ((1, 5), (3, 1), (), (1, 1)),
+        ((), (6,), (), (2, 1)),
+    ])
+    def test_broadcast_and_scalar_shapes_match_the_oracle(self, shapes):
+        rng = np.random.default_rng(len(shapes[0]))
+        counter = [rng.integers(0, 2 ** 32, shape, dtype=np.uint64) for shape in shapes]
+        key = (0xFFFFFFFF, 0x80000000)
+        for got, want in zip(_philox4x32(counter, key), _philox4x32_uint64(counter, key)):
+            assert got.shape == want.shape == np.broadcast_shapes(*shapes)
+            assert np.array_equal(got, want)
+
+    def test_uniforms_keep_the_high_index_word(self):
+        # every index >= 2**32 here, so the high counter word is never 0
+        index = np.array([2 ** 32, 2 ** 32 + 5, 2 ** 33 - 1, 2 ** 45 + 3, 2 ** 63 + 11],
+                         dtype=np.uint64)
+        event = np.arange(3)[:, None]
+        key = (0x243F6A88, 0x85A308D3)
+        words = _philox4x32_uint64((index & _MASK32, index >> np.uint64(32), event, 0), key)
+        for got, x in zip(_counter_uniforms(key, index, event), words):
+            assert np.array_equal(got, (x + 0.5) * 2.0 ** -32)
+        low = _counter_uniforms(key, index & _MASK32, event)
+        assert not np.array_equal(low[0], _counter_uniforms(key, index, event)[0])
+
+    def test_uniforms_mix_low_and_high_indices(self):
+        index = np.array([0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 17])
+        key = (1, 2)
+        words = _philox4x32_uint64((index.astype(np.uint64) & _MASK32,
+                                    index.astype(np.uint64) >> np.uint64(32), 4, 0), key)
+        for got, x in zip(_counter_uniforms(key, index, 4), words):
+            assert np.array_equal(got, (x + 0.5) * 2.0 ** -32)
+
+    def test_two_words_are_the_first_two_of_four(self):
+        index = np.arange(1000) + 2 ** 32 - 500
+        four = _counter_uniforms((9, 10), index, 3)
+        two = _counter_uniforms((9, 10), index, 3, words=2)
+        assert len(four) == 4 and len(two) == 2
+        for got, want in zip(two, four[:2]):
+            assert np.array_equal(got, want)
 
 def test_default_grid_steps():
     assert default_grid().steps == 120

@@ -9,7 +9,7 @@ from ratingsde import (HISTORICAL, CsaTerms, PortfolioSpec, TimeGrid,
                        simulate_portfolio, simulate_xva_paths,
                        uncollateralized_terms, xva_by_regime)
 from ratingsde import sde, xva
-from ratingsde.sde import _counter_uniforms, _philox_key
+from ratingsde.sde import _counter_normals, _counter_uniforms, _philox_key
 
 
 GRID = TimeGrid(1.0, 12)
@@ -59,6 +59,27 @@ class TestSimulatePortfolio:
         tol = 3.0 * np.sqrt(2.0 / (m - 1)) * target
         assert abs(sample_var - target) <= tol
 
+
+    # one block at 1, 12 and 120 steps, then several with a partial last
+    # one; at seed 5 a component's s ** 2 and s * s differ in the last bit
+    # and the difference reaches the 120-step variance
+    @pytest.mark.parametrize("steps, block, seed", [
+        (1, 1 << 19, 7), (12, 1 << 19, 7), (120, 1 << 19, 5), (12, 12 * 700, 7)])
+    def test_variance_blocks_match_a_loop_over_components_bitwise(
+            self, monkeypatch, steps, block, seed):
+        monkeypatch.setattr(xva, "_VAR_BLOCK", block)
+        spec = PortfolioSpec(v0=1.5, n=3000, sigma_scale=10.0, seed=seed)
+        grid = TimeGrid(1.0, steps)
+        t0, t1 = grid.times[:-1], grid.times[1:]
+        sigmas, lifetimes = spec.draw_components()
+        var = np.full(steps, sigmas[0] ** 2 * grid.dt)
+        for s, l in zip(sigmas[1:], lifetimes):
+            var += s ** 2 * np.maximum(0.0, np.minimum(t1, l) - np.minimum(t0, l))
+        z = _counter_normals(_philox_key([9, xva._PORTFOLIO_PATH_TAG]),
+                             np.arange(4)[:, None], steps)[:, :, 0]
+        want = np.full((4, steps + 1), spec.v0)
+        want[:, 1:] += np.cumsum(z * np.sqrt(var), axis=1)
+        assert np.array_equal(simulate_portfolio(spec, grid, 4, 9), want)
 
 def _hand_paths():
     """Two deterministic paths: one counterparty default, one bank default."""
