@@ -36,8 +36,8 @@ from .errors import NumericalError, RatingSdeError, ValidationError
 from .lie import n_coords
 from .matio import (read_params_csv, read_pd_csv, read_rating_csv,
                     write_params_csv, write_rating_csv)
-from .sde import (_CHUNK, _require_finite, mean_matrix, simulate_paths_threaded,
-                  var_matrix)
+from .sde import (_CHUNK, _require_finite, mean_matrix, simulate_paths,
+                  simulate_paths_threaded, var_matrix)
 from .svgplot import (_FAN_PATHS, entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
 from .xva import (perfect_terms, posting_indices, predefault_distribution,
@@ -267,8 +267,7 @@ def _cmd_simulate(args) -> int:
                          (min(m, _FAN_PATHS), grid.steps + 1, k, k, 8),
                          (min(m, _CHUNK), grid.steps, n_coords(k), 8))
     bundle = simulate_paths_threaded(params, cfg.measure(), grid, m, cfg.seed(),
-                                     keep_times=keep_times, keep_paths=_FAN_PATHS,
-                                     keep_increments=False)
+                                     keep_times=keep_times, keep_paths=_FAN_PATHS)
     labels = cfg.labels()
     outputs = []
     for t in checkpoints:
@@ -323,9 +322,8 @@ def _cmd_ssa(args) -> int:
     measure = cfg.measure()
     seed = cfg.seed()
 
-    bundle = simulate_paths_threaded(params, measure, grid, m1, seed,
-                                     keep_times=[grid.horizon], keep_paths=0,
-                                     keep_increments=True)
+    # one call: the sampler reads every trajectory's intensities at once
+    bundle = simulate_paths(params, measure, grid, m1, seed, keep_times=[grid.horizon])
     nested = sample_from_bundle(bundle, m2, i0_list, seed)
     # occupancy frequencies (N+1, K) per initial rating, counted from the jump events
     freqs = {i0: paths.occupancy.sum(0) / (m1 * m2) for i0, paths in nested.items()}
@@ -385,10 +383,10 @@ def _cmd_xva(args) -> int:
     portfolio = cfg.portfolio()
     # draw_components holds 13.1 words per component (tracemalloc, n = 10^6)
     _require_allocatable(cfg, "portfolio.n", (portfolio.n + 1, 14, 8))
-    paths = simulate_xva_paths(
-        params, cfg.measure(), grid, m, portfolio, cfg.seed(),
-        bank_rating=cfg.get_int("xva.bank_rating", 1),
-        cpty_rating=cfg.get_int("xva.cpty_rating", 2))
+    bank = cfg.get_int("xva.bank_rating", 1)
+    cpty = cfg.get_int("xva.cpty_rating", 2)
+    paths = simulate_xva_paths(params, cfg.measure(), grid, m, portfolio, cfg.seed(),
+                               bank_rating=bank, cpty_rating=cpty)
     _require_finite(paths.v, "portfolio values")
     results = xva_by_regime(paths, _regimes(cfg))
     for name, r in results.items():
@@ -405,9 +403,10 @@ def _cmd_xva(args) -> int:
     (out / "xva_report.csv").write_text("\n".join(lines) + "\n")
 
     k = cfg.k
+    # parties that start at one rating count in one row
     dist = predefault_distribution(
-        {cfg.get_int("xva.bank_rating", 1): paths.predefault_b,
-         cfg.get_int("xva.cpty_rating", 2): paths.predefault_c}, k)
+        {bank: np.concatenate([paths.predefault_b, paths.predefault_c])}
+        if bank == cpty else {bank: paths.predefault_b, cpty: paths.predefault_c}, k)
     write_rating_csv(out / "predefault.csv", cfg.labels(), dist.matrix)
     _write_summary(out, "xva", cfg, ["xva_report.csv", "predefault.csv"],
                    extra={"total_defaults": dist.total_defaults})

@@ -215,9 +215,11 @@ class RunConfig:
         )
 
     def checkpoints(self) -> np.ndarray:
-        default = np.array([1 / 12, 0.25, 0.5, 1.0])
-        pts = self.get_floats("checkpoints", default)
         horizon = self.get_float("grid.horizon", 1.0)
+        # the default drops the times past a horizon below one year
+        default = np.array([t for t in (1 / 12, 0.25, 0.5, 1.0)
+                            if t <= horizon + 1e-12] or [horizon])
+        pts = self.get_floats("checkpoints", default)
         if not (pts.size and np.isfinite(pts).all() and np.all(pts > 0)
                 and np.all(pts <= horizon + 1e-12)):
             raise ValidationError(f"{self.source}: checkpoints must list times in "

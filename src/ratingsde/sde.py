@@ -356,18 +356,19 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                   m: int, seed: int, store_rpaths: bool = True, traj_offset: int = 0,
-                   *, keep_times: list[float] | None = None,
+                   m: int, seed: int, traj_offset: int = 0, *,
+                   keep_times: list[float] | None = None,
                    keep_paths: int = 0) -> MatrixPathBundle:
     """Group-preserving Euler simulation of M rating-matrix trajectories.
 
     The increments dA = |Y_k|^a dt depend on the driver Y alone, so the
-    group products R_{k+1} = R_k exp(dA) are formed only when the matrix
-    paths are stored.  The bundle then keeps every grid index of every
-    trajectory, or, given keep_times, R at those grid times for every
-    trajectory and every R_k of the leading keep_paths trajectories; only
-    what is kept is written.  Raises NumericalError if any increment or
-    kept matrix is non-finite.
+    group products R_{k+1} = R_k exp(dA) are formed only when a matrix is
+    kept.  Without keep_times the bundle keeps every R_k of every
+    trajectory, with rpaths and matrices the same array; given keep_times,
+    it keeps R at those grid times for every trajectory and every R_k of
+    the leading keep_paths trajectories, so keep_times=[] with
+    keep_paths=0 keeps the increments only.  Raises NumericalError if any
+    increment or kept matrix is non-finite.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -376,18 +377,17 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     increments = _increments(params, measure, grid,
                              draw_noise(k, grid, m, seed, traj_offset))
     _require_finite(increments, "generator increments")
-    if not store_rpaths:
-        return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments)
     if keep_times is None:
-        rpaths = np.empty((m, grid.steps + 1, k, k))
+        kept = tuple(range(grid.steps + 1))
+        rpaths = matrices = np.empty((m, grid.steps + 1, k, k))
         _products(increments, k, rpaths)
-        kept, matrices = tuple(range(grid.steps + 1)), rpaths
     else:
         kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
         rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
         matrices = np.empty((m, len(kept), k, k))
-        _products(increments, k, rpaths, kept, matrices)
-        _require_finite(matrices, "rating-matrix entries")
+        if kept or len(rpaths):
+            _products(increments, k, rpaths, kept, matrices)
+    _require_finite(matrices, "rating-matrix entries")
     _require_finite(rpaths, "rating-matrix entries")
     return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths,
                             kept=kept, matrices=matrices)
@@ -414,17 +414,18 @@ _CHUNK = 256
 
 def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                             m: int, seed: int, *, keep_times: list[float],
-                            keep_paths: int, keep_increments: bool) -> MatrixPathBundle:
-    """simulate_paths over fixed chunks of 256 trajectories, keeping only
-    what the caller reads: R at the grid times keep_times for every
-    trajectory, every R_k of the leading keep_paths trajectories, and the
-    increments if keep_increments.
+                            keep_paths: int = 0, each_chunk=None) -> MatrixPathBundle:
+    """simulate_paths over fixed chunks of 256 trajectories, keeping R at
+    the grid times keep_times for every trajectory and every R_k of the
+    leading keep_paths trajectories; the package's one loop over chunks.
 
-    Each chunk writes only what is kept, and is dropped before the next is
-    simulated.  Every draw is keyed on its global trajectory index, so the
-    kept arrays equal the same slices of a single simulate_paths call bit
-    for bit.  The chunks run one after another on the calling thread: a
-    pool of 2 workers was slower than 1.
+    each_chunk(offset, part), if given, is called with each chunk's bundle,
+    increments included, before the chunk is dropped; offset is the
+    chunk's first global trajectory index.  No chunk is held while the next
+    is simulated.  Every draw is keyed on its global trajectory index, so
+    the kept arrays and each chunk's increments equal the same slices of a
+    single simulate_paths call bit for bit.  The chunks run one after
+    another on the calling thread: a pool of 2 workers was slower than 1.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -432,18 +433,17 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
     kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
     matrices = np.empty((m, len(kept), k, k))
     rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
-    increments = np.empty((m, grid.steps, n_coords(k))) if keep_increments else None
     for off in range(0, m, _CHUNK):
         part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
                               traj_offset=off, keep_times=keep_times,
                               keep_paths=max(0, keep_paths - off))
         matrices[off:off + part.m] = part.matrices
         rpaths[off:off + len(part.rpaths)] = part.rpaths
-        if increments is not None:
-            increments[off:off + part.m] = part.increments
+        if each_chunk is not None:
+            each_chunk(off, part)
         del part                     # hold no chunk while the next is simulated
-    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths,
-                            kept=kept, matrices=matrices)
+    return MatrixPathBundle(k=k, grid=grid, m=m, rpaths=rpaths, kept=kept,
+                            matrices=matrices)
 
 
 def girsanov_density(kappa: np.ndarray, w_increments: np.ndarray, grid: TimeGrid) -> np.ndarray | float:

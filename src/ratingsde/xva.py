@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .sde import (DEFAULT_STEPS_PER_YEAR, MeasureChange, SdeParams, TimeGrid,
-                  _box_muller, _counter_normals, _counter_uniforms, _philox_key)
+                  _box_muller, _counter_normals, _counter_uniforms, _philox_key,
+                  simulate_paths_threaded)
 from .ctmc import piecewise_generators, _ssa_batch
 
 _PORTFOLIO_STATIC_TAG = 0x90F
@@ -298,10 +299,11 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
     """Simulate portfolio values and both parties' rating paths.
 
     Bank and counterparty paths use independent streams but share the
-    same matrix trajectory, sampled from its intensities.  Only the
-    increments are simulated, in chunks of sde._CHUNK trajectories; the
-    chunks bound memory only, as each party's SSA draws are keyed on the
-    global trajectory index.
+    same matrix trajectory, sampled from its intensities.  Both parties
+    are sampled inside simulate_paths_threaded's each_chunk, so only one
+    chunk's increments and intensities are held at a time; the chunks
+    bound memory only, as each party's SSA draws are keyed on the global
+    trajectory index.
     """
     k = params.k
     for name, rating in (("bank_rating", bank_rating), ("cpty_rating", cpty_rating)):
@@ -314,26 +316,21 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
     tau_c = np.empty(m)
     pre_b = np.empty(m, dtype=np.int8)
     pre_c = np.empty(m, dtype=np.int8)
-
-    from .sde import _CHUNK, simulate_paths
-
     keys = {party: _philox_key([seed, tag]) for party, tag in _XVA_PARTY_TAG.items()}
-    for off in range(0, m, _CHUNK):
-        size = min(_CHUNK, m - off)
-        bundle = simulate_paths(params, measure, grid, size, seed,
-                                store_rpaths=False, traj_offset=off)
-        gens = piecewise_generators(bundle)
-        gen_index = np.arange(size)
+
+    def sample(off, part):
+        rows = slice(off, off + part.m)
+        gens = piecewise_generators(part)
         for party, x, tau, pre, i0 in (
             ("B", xb, tau_b, pre_b, bank_rating),
             ("C", xc, tau_c, pre_c, cpty_rating),
         ):
-            states, dts, pds = _ssa_batch(gens, gen_index, np.full(size, i0),
-                                          grid, keys[party], path_offset=off)
-            x[off:off + size] = states
-            tau[off:off + size] = dts
-            pre[off:off + size] = pds
+            x[rows], tau[rows], pre[rows] = _ssa_batch(
+                gens, np.arange(part.m), np.full(part.m, i0), grid, keys[party],
+                path_offset=off)
 
+    simulate_paths_threaded(params, measure, grid, m, seed, keep_times=[],
+                            each_chunk=sample)
     v = simulate_portfolio(portfolio, grid, m, seed)
     return XvaPaths(grid=grid, v=v, xb=xb, tau_b=tau_b, xc=xc, tau_c=tau_c,
                     predefault_b=pre_b, predefault_c=pre_c)

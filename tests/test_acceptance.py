@@ -55,8 +55,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bundle_1000(calibrated_params):
     return simulate_paths_threaded(calibrated_params, HISTORICAL, GRID_FINE,
-                                   1000, SEED, keep_times=CHECKPOINTS,
-                                   keep_paths=0, keep_increments=False)
+                                   1000, SEED, keep_times=CHECKPOINTS)
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
-                       empirical_transition, simulate_paths_threaded)
+from ratingsde import (HISTORICAL, PortfolioSpec, SdeParams, TimeGrid,
+                       ValidationError, empirical_transition, simulate_paths,
+                       simulate_xva_paths)
 from ratingsde import cli, sde
 from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
@@ -122,6 +123,17 @@ class TestConfig:
             cfg.get_floats("checkpoints")
         with pytest.raises(ValidationError, match="seed must be a number"):
             cfg.get_float("seed")
+
+    def test_default_checkpoints_lie_within_the_horizon(self, tmp_path):
+        for horizon, expected in (("2.0", [1 / 12, 0.25, 0.5, 1.0]),
+                                  ("0.5", [1 / 12, 0.25, 0.5]),
+                                  ("0.05", [0.05])):
+            cfg = RunConfig(values={"grid.horizon": horizon}, base_dir=tmp_path)
+            assert cfg.checkpoints().tolist() == expected, horizon
+        cfg = RunConfig(values={"grid.horizon": "0.5", "checkpoints": "0.25,1.0"},
+                        base_dir=tmp_path)
+        with pytest.raises(ValidationError, match="checkpoints must list times"):
+            cfg.checkpoints()
 
     def test_empty_checkpoints_are_rejected(self, tmp_path):
         # an empty list would run a command without its per-checkpoint files
@@ -261,6 +273,60 @@ class TestCliCommands:
         assert len(artifacts[7]) == 10
         assert artifacts[7] == artifacts[1000]
 
+    def test_xva_artifacts_do_not_depend_on_the_chunk_size(self, workdir,
+                                                           monkeypatch):
+        # 60 scenarios: 9 chunks of <= 7, or one chunk of 1000; the bank
+        # starts at rating C, so some paths default and the rating paths
+        # reach the report
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "xva.bank_rating = 3\n")
+        simulate, chunks = sde.simulate_paths, []
+        monkeypatch.setattr(sde, "simulate_paths",
+                            lambda *a, **kw: chunks.append(1) or simulate(*a, **kw))
+        artifacts, counts = {}, []
+        for chunk in (7, 1000):
+            monkeypatch.setattr(sde, "_CHUNK", chunk)
+            chunks.clear()
+            out = workdir / f"chunk{chunk}"
+            assert cli.main(["xva", "--config", str(cfg), "--out", str(out)]) == 0
+            counts.append(len(chunks))
+            artifacts[chunk] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert counts == [9, 1]
+        assert sorted(artifacts[7]) == ["predefault.csv", "run_summary.json",
+                                        "xva_report.csv"]
+        assert json.loads(artifacts[7]["run_summary.json"])["total_defaults"] > 0
+        assert artifacts[7] == artifacts[1000]
+
+    def test_xva_counts_both_parties_at_one_rating(self, workdir):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "xva.bank_rating = 3\nxva.cpty_rating = 3\n")
+        assert cli.main(["xva", "--config", str(cfg), "--out", str(workdir / "x")]) == 0
+        summary = json.loads((workdir / "x" / "run_summary.json").read_text())
+        _, a, b, sigma = read_params_csv(workdir / "params.csv")
+        paths = simulate_xva_paths(SdeParams(k=4, a=a, b=b, sigma=sigma), HISTORICAL,
+                                   TimeGrid(1.0, 24), 60, PortfolioSpec(), 42,
+                                   bank_rating=3, cpty_rating=3)
+        defaulted = [int((pre > 0).sum()) for pre in (paths.predefault_b,
+                                                      paths.predefault_c)]
+        assert min(defaulted) > 0
+        assert summary["total_defaults"] == sum(defaulted)
+        _, dist = read_rating_csv(workdir / "x" / "predefault.csv")
+        assert dist[2].sum() == pytest.approx(1.0) and not dist[[0, 1, 3]].any()
+
+    def test_default_checkpoints_fit_a_short_horizon(self, workdir):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("grid.horizon = 1.0", "grid.horizon = 0.5")
+                       .replace("checkpoints = 0.25,0.5,1.0\n", ""))
+        for command, stem in (("simulate", "mean"), ("ssa", "occupancy")):
+            out = workdir / command
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.glob(f"{stem}_t*.csv")) == [
+                f"{stem}_t0.0833333.csv", f"{stem}_t0.25.csv", f"{stem}_t0.5.csv"]
+        cfg.write_text(cfg.read_text() + "checkpoints = 0.25,1.0\n")
+        res = run_cli("simulate", "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == 1
+        assert "checkpoints must list times in (0, horizon], got [0.25, 1.0]" in res.stderr
+
     def test_simulate_non_finite_exits_two(self, workdir):
         _write_overflowing_params(workdir)
         cfg = workdir / "run.cfg"
@@ -387,9 +453,8 @@ class TestCliCommands:
         assert res.returncode == 0, res.stderr
         _, a, b, sigma = read_params_csv(workdir / "params.csv")
         grid = TimeGrid(1.0, 24)
-        bundle = simulate_paths_threaded(SdeParams(k=4, a=a, b=b, sigma=sigma),
-                                         HISTORICAL, grid, 10, 42, keep_times=[1.0],
-                                         keep_paths=0, keep_increments=True)
+        bundle = simulate_paths(SdeParams(k=4, a=a, b=b, sigma=sigma),
+                                HISTORICAL, grid, 10, 42, keep_times=[1.0])
         states = {i0: recorded_ssa(bundle, 40, i0, 42)[0] for i0 in (2, 4)}
         for t, tag in ((0.25, "0.25"), (0.5, "0.5"), (1.0, "1")):
             _, written = read_rating_csv(workdir / "g" / f"occupancy_t{tag}.csv")
@@ -670,3 +735,12 @@ class TestConfigFuzz:
         if code == 0:
             for artifact in out.iterdir():
                 assert not NON_FINITE.search(artifact.read_text()), artifact.name
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library example" block, executed as written
+    section = (SRC_ROOT.parent / "README.md").read_text().split("## Library example")[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 6 and "nan" not in out  # a 4 x 4 matrix, 2 numbers

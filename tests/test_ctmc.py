@@ -78,7 +78,7 @@ class TestPiecewiseGenerators:
                                sigma=np.linspace(0.2, 1.5, (k - 1) ** 2),
                                y0=np.linspace(0.05, 3.0, (k - 1) ** 2))
             bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 24), 5, k,
-                                    store_rpaths=False)
+                                    keep_times=[])
             inten = piecewise_generators(bundle)
             gens = coeffs_to_matrices(bundle.increments / bundle.grid.dt, k)
             assert inten.shape == (5, 24, k - 1, k - 1)
@@ -199,7 +199,7 @@ class TestSsaBatch:
         # path p draws from counter (path_offset + p, event): two halves
         # with matching offsets equal one call bit for bit
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 24), 4, 3, store_rpaths=False)
+                                TimeGrid(1.0, 24), 4, 3, keep_times=[])
         gens = piecewise_generators(bundle) * 50.0   # several jumps per path
         p = 2000
         gen_index = np.arange(p) % 4
@@ -227,7 +227,7 @@ class TestOccupancy:
         # fast and calibrated time-varying generators, one active only in the
         # last interval, one that never moves; every start rating
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 24), 2, 3, store_rpaths=False)
+                                TimeGrid(1.0, 24), 2, 3, keep_times=[])
         gens = piecewise_generators(bundle)
         last_only = np.zeros_like(gens[:1])
         last_only[0, -1] = off_diagonal(CONST_GEN) * 20.0
@@ -251,7 +251,7 @@ class TestOccupancy:
         # sequences plus a fifth that no path uses; the array starts out
         # holding garbage, which every column must overwrite
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 4, 5, store_rpaths=False)
+                                TimeGrid(1.0, 12), 4, 5, keep_times=[])
         gens = np.concatenate([piecewise_generators(bundle) * 30.0,
                                np.zeros_like(piecewise_generators(bundle)[:1])])
         rng = np.random.default_rng(8)

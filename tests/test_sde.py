@@ -99,24 +99,25 @@ class TestSimulatePaths:
     def test_chunked_matches_single_call_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
         single = simulate_paths(calibrated_params, HISTORICAL, g, 600, 5)
-        for keep_paths, keep_increments in ((50, False), (300, True), (0, True)):
+        for keep_paths in (50, 300, 0):
+            offsets, increments = [], []
             chunked = simulate_paths_threaded(     # 3 chunks of <= 256
                 calibrated_params, HISTORICAL, g, 600, 5, keep_times=[1.0, 0.2, 1.0],
-                keep_paths=keep_paths, keep_increments=keep_increments)
+                keep_paths=keep_paths,
+                each_chunk=lambda off, part: (offsets.append(off),
+                                              increments.append(part.increments)))
+            assert offsets == [0, 256, 512]
+            assert np.array_equal(np.concatenate(increments), single.increments)
+            assert chunked.increments is None
             assert chunked.kept == (3, 15)
             assert np.array_equal(chunked.matrices, single.rpaths[:, [3, 15]])
             for t, idx in ((0.2, 3), (1.0, 15)):
                 assert np.array_equal(chunked.matrices_at(t), single.rpaths[:, idx])
             assert np.array_equal(chunked.rpaths, single.rpaths[:keep_paths])
-            if keep_increments:
-                assert np.array_equal(chunked.increments, single.increments)
-            else:
-                assert chunked.increments is None
 
     def test_matrices_at_a_time_not_kept_raises(self, calibrated_params):
         bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
-                                         TimeGrid(1.0, 15), 20, 5, keep_times=[1.0],
-                                         keep_paths=0, keep_increments=False)
+                                         TimeGrid(1.0, 15), 20, 5, keep_times=[1.0])
         assert bundle.matrices_at(1.0).shape == (20, 4, 4)
         for read in (bundle.matrices_at, lambda t: mean_matrix(bundle, t)):
             with pytest.raises(ValidationError, match="not kept"):
@@ -130,7 +131,7 @@ class TestSimulatePaths:
         try:
             simulate_paths_threaded(calibrated_params, HISTORICAL, grid, m, 0,
                                     keep_times=[1 / 12, 0.25, 0.5, 1.0, 1.0],
-                                    keep_paths=_FAN_PATHS, keep_increments=False)
+                                    keep_paths=_FAN_PATHS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -139,16 +140,26 @@ class TestSimulatePaths:
     def test_skipping_products_keeps_increments_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
         full = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5)
-        lean = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5,
-                              store_rpaths=False)
-        assert lean.rpaths is None
+        lean = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[])
+        assert lean.kept == () and lean.matrices.size == lean.rpaths.size == 0
         assert np.array_equal(lean.increments, full.increments)
+
+    def test_keeping_nothing_forms_no_exponential(self, calibrated_params, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sde, "expm_batch",
+                            lambda *a: calls.append(1) or expm_batch(*a))
+        g = TimeGrid(1.0, 15)
+        simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[])
+        assert calls == []
+        simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[],
+                       keep_paths=1)
+        assert calls
 
     def test_non_finite_increments_raise(self):
         params = flat_params(4, 400.0, 3.0, 3.0)
         with pytest.raises(NumericalError, match="non-finite"):
             simulate_paths(params, HISTORICAL, TimeGrid(1.0, 120), 5, 0,
-                           store_rpaths=False)
+                           keep_times=[])
 
     def test_terminal_matches_full_simulation(self, calibrated_params):
         g = TimeGrid(1.0, 15)
