@@ -322,20 +322,22 @@ def _cmd_ssa(args) -> int:
     measure = cfg.measure()
     seed = cfg.seed()
 
-    # one call: the sampler reads every trajectory's intensities at once
+    # one call: the paper's M1 = 100 trajectories fit in one chunk
     bundle = simulate_paths(params, measure, grid, m1, seed, keep_times=[grid.horizon])
     nested = sample_from_bundle(bundle, m2, i0_list, seed)
     # occupancy frequencies (N+1, K) per initial rating, counted from the jump events
     freqs = {i0: paths.occupancy.sum(0) / (m1 * m2) for i0, paths in nested.items()}
+    # the sampled ratings' rows and the absorbing row, in rating order
+    rows = sorted({i0 - 1 for i0 in i0_list} | {k - 1})
     outputs = []
     for t in cfg.checkpoints():
         idx = grid.index_of(float(t))
-        emp = np.zeros((k, k))        # rows of unsampled ratings stay zero
+        emp = np.zeros((k, k))
         emp[k - 1, k - 1] = 1.0
         for i0, freq in freqs.items():
             emp[i0 - 1] = freq[idx]
         name = f"occupancy_t{_fmt_time(float(t))}.csv"
-        write_rating_csv(out / name, labels, emp)
+        write_rating_csv(out / name, labels, emp, rows=rows)
         outputs.append(name)
 
     err = simulation_error(nested, grid.horizon)

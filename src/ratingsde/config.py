@@ -215,10 +215,11 @@ class RunConfig:
         )
 
     def checkpoints(self) -> np.ndarray:
-        horizon = self.get_float("grid.horizon", 1.0)
-        # the default drops the times past a horizon below one year
+        grid = self.grid()
+        horizon = grid.horizon
+        # the default keeps the times within the horizon and on the grid
         default = np.array([t for t in (1 / 12, 0.25, 0.5, 1.0)
-                            if t <= horizon + 1e-12] or [horizon])
+                            if t <= horizon + 1e-12 and grid.has_point(t)] or [horizon])
         pts = self.get_floats("checkpoints", default)
         if not (pts.size and np.isfinite(pts).all() and np.all(pts > 0)
                 and np.all(pts <= horizon + 1e-12)):
@@ -227,4 +228,8 @@ class RunConfig:
         if np.any(np.diff(pts) <= 0):
             raise ValidationError(f"{self.source}: checkpoints must be strictly "
                                   f"increasing, got {pts.tolist()}")
+        off = [t for t in pts.tolist() if not grid.has_point(t)]
+        if off:
+            raise ValidationError(f"{self.source}: checkpoints must lie on the grid "
+                                  f"(dt={grid.dt}), got {off}")
         return pts

@@ -35,25 +35,24 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
     return (inc / bundle.grid.dt).reshape(inc.shape[:2] + (bundle.k - 1,) * 2)
 
 
-def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
-               grid: TimeGrid, key: np.ndarray, path_offset: int = 0,
-               occupancy: np.ndarray | None = None, record_states: bool = True):
-    """Event-driven SSA across paths with per-path intensity sequences.
+def _ssa_batch(gens: np.ndarray, m2: int, i0: int, grid: TimeGrid,
+               key: np.ndarray, path_offset: int = 0,
+               occupancy: np.ndarray | None = None):
+    """Event-driven SSA: m2 paths from the 1-based rating i0 per sequence.
 
     gens: (G, N, K-1, K-1) intensities as `piecewise_generators` returns
-    them; gen_index: (P,) path -> sequence; i0: (P,) 1-based.
-    Event e of path p draws from the Philox counter (path_offset + p, e)
-    under `key`, so a path's draws do not depend on the batch it runs in.
+    them; path p of the P = G*m2 paths follows sequence p // m2.  Event e
+    of path p draws from the Philox counter (path_offset + p, e) under
+    `key`, so a path's draws do not depend on the batch it runs in.
     Returns (states (P, N+1) int8, default_time (P,), predefault (P,) int8);
-    states is the transposed view of a time-major (N+1, P) array.  With
-    `record_states` false no per-path states are built and states is an
-    empty (P, 0) array; the other outputs are the same bits.  If given,
-    `occupancy` (G, N+1, K), integer, receives for each sequence g and grid
-    index j the number of g's paths in each state at j, counted from the
-    jump events.
+    states is the transposed view of a time-major (N+1, P) array.  Given
+    `occupancy` (G, N+1, K), integer, it fills that instead: for each
+    sequence g and grid index j, the number of g's paths in each state at
+    j, counted from the jump events; states is then empty (P, 0) and the
+    other outputs are the same bits.
     """
-    p = gen_index.size
     g, n = gens.shape[:2]
+    p = g * m2
     k = gens.shape[2] + 1                     # the absorbing rating has no row
     times = grid.times
     # exit rates (G, N, K-1), each row added in order; slice adds, since
@@ -64,29 +63,27 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
     hazard = np.zeros((g, k - 1, n + 1))                     # H[g, s, j]
     np.cumsum(rates.transpose(0, 2, 1) * grid.dt, axis=2, out=hazard[:, :, 1:])
 
-    cur = np.asarray(i0, dtype=np.int64) - 1
-    # jump deltas, summed below; no rows unless states are recorded
-    states = np.zeros((n + 1 if record_states else 0, p), dtype=np.int8)
-    states[:1] = cur + 1
+    # jump deltas, summed below; no rows when occupancy is counted
+    states = np.zeros((n + 1 if occupancy is None else 0, p), dtype=np.int8)
+    states[:1] = i0
     if occupancy is not None:
-        occupancy[:, 1:] = 0
-        occupancy[:, 0] = np.bincount(gen_index * k + cur,
-                                      minlength=g * k).reshape(g, k)
-    def_time = np.full(p, np.nan)
+        occupancy[...] = 0
+        occupancy[:, 0, i0 - 1] = m2
+    # a path that starts absorbed defaults at t = 0
+    def_time = np.full(p, 0.0 if i0 == k else np.nan)
     predef = np.zeros(p, dtype=np.int8)
-    def_time[cur == k - 1] = 0.0
 
     # Live paths: state s, interval j and time t of the last event, and
     # h, the integrated hazard H_s at t.
-    live = np.nonzero(cur != k - 1)[0]
-    s = cur[live]
+    live = np.arange(p if i0 < k else 0)
+    s = np.full(live.size, i0 - 1)
     j = np.zeros(live.size, dtype=np.int64)
     t = np.zeros(live.size)
     h = np.zeros(live.size)
     event = 0
     while live.size:
         u_wait, u_dest = _counter_uniforms(key, path_offset + live, event, words=2)
-        gl = gen_index[live]
+        gl = live // m2
         target = h - np.log(u_wait)
         # paths whose budget outlasts the horizon never jump again
         jumped = np.nonzero(hazard[gl, s, n] >= target)[0]
@@ -106,9 +103,9 @@ def _ssa_batch(gens: np.ndarray, gen_index: np.ndarray, i0: np.ndarray,
         # u_dest < 1, so the threshold lies below the row's own total
         d = np.argmax(cum > (u_dest * cum[:, -1])[:, None], axis=1)
         dest = d + (d >= s)                       # skip the diagonal
-        if record_states:
+        if occupancy is None:
             states[j + 1, live] += (dest - s).astype(np.int8)
-        if occupancy is not None:
+        else:
             np.subtract.at(occupancy, (gl, j + 1, s), 1)
             np.add.at(occupancy, (gl, j + 1, dest), 1)
         absorbed = dest == k - 1
@@ -158,13 +155,12 @@ def sample_from_bundle(bundle: MatrixPathBundle, m2: int, initial: list[int],
             raise ValidationError(f"initial rating must be in 1..{bundle.k}, got {i0}")
     gens = piecewise_generators(bundle)
     m1 = bundle.m
-    gen_index = np.repeat(np.arange(m1), m2)
     nested = {}
     for i0 in initial:
         key = _philox_key([seed, _SSA_STREAM_TAG, i0])
         occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
-        _, dt_, pd_ = _ssa_batch(gens, gen_index, np.full(m1 * m2, i0), bundle.grid,
-                                 key, occupancy=occupancy, record_states=False)
+        _, dt_, pd_ = _ssa_batch(gens, m2, i0, bundle.grid, key,
+                                 occupancy=occupancy)
         nested[i0] = NestedPaths(
             m1=m1, m2=m2,
             default_time=dt_.reshape(m1, m2),

@@ -4,13 +4,15 @@ Rating-matrix CSV: header ``from,<label_1>,...,<label_K>`` followed by K
 rows ``<label_l>,v_1,...,v_K``.  A trailing ``w_t`` column (withdrawal
 rates) is accepted on read and ignored; it is emitted on write only for
 cohort matrices.  Floats are written with 17 significant digits so every
-file round-trips losslessly.
+file round-trips losslessly; a non-finite number is rejected on read.  The
+`ssa` occupancy files write a subset of the rows under the full header.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +26,12 @@ def _fmt(x: float) -> str:
 
 def _parse_float(token: str, where: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ValidationError(f"malformed number {token!r} at {where}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"non-finite number {token!r} at {where}")
+    return value
 
 
 def read_rating_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -62,7 +67,10 @@ def read_rating_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     return labels, entries
 
 
-def format_rating_csv(labels: list[str], entries: np.ndarray, withdrawals: bool = False) -> str:
+def format_rating_csv(labels: list[str], entries: np.ndarray, withdrawals: bool = False,
+                      rows: list[int] | None = None) -> str:
+    """The CSV text of `entries` under the full header; `rows` (0-based, in
+    order) selects the rows written, all K by default."""
     entries = np.asarray(entries, dtype=float)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -70,8 +78,8 @@ def format_rating_csv(labels: list[str], entries: np.ndarray, withdrawals: bool 
     if withdrawals:
         header.append("w_t")
     w.writerow(header)
-    for i, label in enumerate(labels):
-        row = [label, *(_fmt(v) for v in entries[i])]
+    for i in range(len(labels)) if rows is None else rows:
+        row = [labels[i], *(_fmt(v) for v in entries[i])]
         if withdrawals:
             row.append(_fmt(1.0 - entries[i].sum()))
         w.writerow(row)
@@ -79,8 +87,8 @@ def format_rating_csv(labels: list[str], entries: np.ndarray, withdrawals: bool 
 
 
 def write_rating_csv(path: str | Path, labels: list[str], entries: np.ndarray,
-                     withdrawals: bool = False) -> None:
-    Path(path).write_text(format_rating_csv(labels, entries, withdrawals))
+                     withdrawals: bool = False, rows: list[int] | None = None) -> None:
+    Path(path).write_text(format_rating_csv(labels, entries, withdrawals, rows))
 
 
 def read_params_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:

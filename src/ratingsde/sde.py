@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lie import coeffs_to_matrices, expm_batch, n_coords
+from .lie import _coord_arrays, coeffs_to_matrices, expm_batch, n_coords
 
 MEASURE_KINDS = ("historical", "jlt", "exponential")
-# How far a time may lie from its nearest grid point in TimeGrid.index_of.
+# How far a time may lie from its nearest grid point in TimeGrid.has_point.
 _ON_GRID_TOL = 1e-9
 
 
@@ -55,12 +55,16 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
+    def has_point(self, t: float) -> bool:
+        """Whether t is a grid point, to within _ON_GRID_TOL."""
+        idx = round(t / self.dt)
+        return 0 <= idx <= self.steps and abs(idx * self.dt - t) <= _ON_GRID_TOL
+
     def index_of(self, t: float) -> int:
         """Grid index of time t; raises if t is not a grid point."""
-        idx = round(t / self.dt)
-        if idx < 0 or idx > self.steps or abs(idx * self.dt - t) > _ON_GRID_TOL:
+        if not self.has_point(t):
             raise ValidationError(f"t={t} is not on the grid (dt={self.dt})")
-        return int(idx)
+        return round(t / self.dt)
 
 
 # 120 steps per year resolves monthly checkpoints with margin.
@@ -147,12 +151,10 @@ def kappa_from_h(measure: MeasureChange, k: int) -> np.ndarray:
     h = measure.h
     if h is None or h.shape != (k,):
         raise ValidationError(f"h must have length {k}")
-    from .lie import basis_index_map
-
-    pairs = basis_index_map(k).pairs
+    rows, cols = _coord_arrays(k)
     if measure.kind == "jlt":
-        return np.array([h[i - 1] for i, _ in pairs])
-    return np.array([h[i - 1] / h[j - 1] for i, j in pairs])
+        return h[rows]
+    return h[rows] / h[cols]
 
 
 @dataclass

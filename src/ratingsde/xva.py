@@ -326,8 +326,7 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
             ("C", xc, tau_c, pre_c, cpty_rating),
         ):
             x[rows], tau[rows], pre[rows] = _ssa_batch(
-                gens, np.arange(part.m), np.full(part.m, i0), grid, keys[party],
-                path_offset=off)
+                gens, 1, i0, grid, keys[party], path_offset=off)
 
     simulate_paths_threaded(params, measure, grid, m, seed, keep_times=[],
                             each_chunk=sample)

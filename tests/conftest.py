@@ -61,20 +61,30 @@ def off_diagonal(gen: np.ndarray) -> np.ndarray:
     return gen[..., rows, cols].reshape(gen.shape[:-2] + (k - 1, k - 1))
 
 
+def ssa_both_modes(gens, m2: int, i0: int, grid, key, occupancy):
+    """`_ssa_batch` called twice with one key: the first call returns the
+    per-path states, the second fills `occupancy`.  Both must draw the same
+    paths.  Returns (states, default_time, predefault)."""
+    states, dts, pds = _ssa_batch(gens, m2, i0, grid, key)
+    empty, dts_occ, pds_occ = _ssa_batch(gens, m2, i0, grid, key,
+                                         occupancy=occupancy)
+    assert empty.shape == (states.shape[0], 0)
+    assert np.array_equal(dts_occ, dts, equal_nan=True)
+    assert np.array_equal(pds_occ, pds)
+    return states, dts, pds
+
+
 def recorded_ssa(bundle, m2: int, i0: int, seed: int):
     """The `_ssa_batch` call of ``sample_from_bundle(bundle, m2, i0, seed)``,
-    with per-path states recorded.
+    with the per-path states as well (see ``ssa_both_modes``).
 
     Returns (states (M1*M2, N+1), default_time, predefault, occupancy),
     paths ordered trajectory-major as in ``sample_from_bundle``.
     """
-    m1 = bundle.m
-    occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
-    states, dts, pds = _ssa_batch(
-        piecewise_generators(bundle), np.repeat(np.arange(m1), m2),
-        np.full(m1 * m2, i0), bundle.grid,
-        _philox_key([seed, _SSA_STREAM_TAG, i0]), occupancy=occupancy,
-        record_states=True)
+    occupancy = np.empty((bundle.m, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
+    states, dts, pds = ssa_both_modes(
+        piecewise_generators(bundle), m2, i0, bundle.grid,
+        _philox_key([seed, _SSA_STREAM_TAG, i0]), occupancy)
     return states, dts, pds, occupancy
 
 

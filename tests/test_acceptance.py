@@ -173,8 +173,7 @@ def test_criterion_07_ssa_oracle(nested_p):
     target = scipy_expm(gen)
     worst_z = 0.0
     for i0 in (1, 2, 3):
-        states, _, _ = _ssa_batch(off_diagonal(gen)[None, None],
-                                  np.zeros(n, dtype=int), np.full(n, i0), grid,
+        states, _, _ = _ssa_batch(off_diagonal(gen)[None, None], n, i0, grid,
                                   _philox_key([107, i0]))
         freq = np.bincount(states[:, -1] - 1, minlength=4) / n
         se = np.sqrt(target[i0 - 1] * (1 - target[i0 - 1]) / n)

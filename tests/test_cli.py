@@ -1,5 +1,6 @@
 """CSV round-trips, config grammar, and the command-line interface."""
 
+import csv
 import itertools
 import json
 import os
@@ -135,6 +136,20 @@ class TestConfig:
         with pytest.raises(ValidationError, match="checkpoints must list times"):
             cfg.checkpoints()
 
+    def test_default_checkpoints_lie_on_the_grid(self, tmp_path):
+        # 1/12 is not a multiple of 1/52; the other defaults are on the grid
+        cfg = RunConfig(values={"grid.steps_per_year": "52"}, base_dir=tmp_path)
+        assert cfg.checkpoints().tolist() == [0.25, 0.5, 1.0]
+        cfg = RunConfig(values={"grid.steps_per_year": "5"}, base_dir=tmp_path)
+        assert cfg.checkpoints().tolist() == [1.0]
+        cfg = RunConfig(values={"grid.horizon": "0.3", "grid.steps_per_year": "10"},
+                        base_dir=tmp_path)
+        assert cfg.checkpoints().tolist() == [0.3]
+        cfg = RunConfig(values={"grid.steps_per_year": "52", "checkpoints": "0.1"},
+                        base_dir=tmp_path)
+        with pytest.raises(ValidationError, match=r"checkpoints must lie on the grid"):
+            cfg.checkpoints()
+
     def test_empty_checkpoints_are_rejected(self, tmp_path):
         # an empty list would run a command without its per-checkpoint files
         cfg = RunConfig(values={"checkpoints": ""}, base_dir=tmp_path)
@@ -202,6 +217,13 @@ def workdir(tmp_path):
         "checkpoints = 0.25,0.5,1.0\n"
     )
     return tmp_path
+
+
+def _occupancy_rows(path):
+    """The header and the {label: row} body of an ssa occupancy file."""
+    with open(path, newline="") as fh:
+        header, *body = csv.reader(fh)
+    return header, {row[0]: [float(x) for x in row[1:]] for row in body}
 
 
 def _write_overflowing_params(workdir):
@@ -327,6 +349,48 @@ class TestCliCommands:
         assert res.returncode == 1
         assert "checkpoints must list times in (0, horizon], got [0.25, 1.0]" in res.stderr
 
+    def test_default_checkpoints_fit_a_weekly_grid(self, workdir):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("grid.steps_per_year = 24",
+                                               "grid.steps_per_year = 52")
+                       .replace("checkpoints = 0.25,0.5,1.0\n", ""))
+        for command, stem in (("simulate", "mean"), ("ssa", "occupancy")):
+            out = workdir / command
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.glob(f"{stem}_t*.csv")) == [
+                f"{stem}_t0.25.csv", f"{stem}_t0.5.csv", f"{stem}_t1.csv"]
+        cfg.write_text(cfg.read_text() + "checkpoints = 0.1\n")
+        for command in ("simulate", "ssa"):
+            res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
+            assert res.returncode == 1
+            assert "checkpoints must lie on the grid" in res.stderr
+            assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, name, line, column", [
+        ("reconstruct", "cohort_1y.csv", 3, 3),         # the B -> B entry
+        ("simulate", "params.csv", 2, 2),              # a of coordinate 1-2
+        ("calibrate-rn", "pd_case1.csv", 3, 2),        # the PD of rating B
+    ])
+    def test_non_finite_input_number_exits_one(self, workdir, command, name, line,
+                                               column, token):
+        path = workdir / name
+        rows = path.read_text().splitlines()
+        cells = rows[line - 1].split(",")
+        cells[column - 1] = token
+        rows[line - 1] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("measure.kind = historical",
+                                               "measure.kind = exponential")
+                       + "rn.m = 20\n")
+        res = run_cli(command, "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == 1, res.stderr
+        assert f"non-finite number {token!r} at {name}: line {line}, column {column}" \
+            in res.stderr
+        assert "Traceback" not in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
     def test_simulate_non_finite_exits_two(self, workdir):
         _write_overflowing_params(workdir)
         cfg = workdir / "run.cfg"
@@ -441,6 +505,12 @@ class TestCliCommands:
         assert res.returncode == 0, res.stderr
         assert (workdir / "g" / "occupancy_A.svg").exists()
         assert not (workdir / "g" / "occupancy_B.svg").exists()
+        # the sampled rating's row and the absorbing row, under the full header
+        for path in (workdir / "g").glob("occupancy_t*.csv"):
+            header, rows = _occupancy_rows(path)
+            assert header == ["from", "A", "B", "C", "D"]
+            assert list(rows) == ["A", "D"], path.name
+            assert rows["D"] == [0.0, 0.0, 0.0, 1.0]
         summary = json.loads((workdir / "g" / "run_summary.json").read_text())
         assert 0.0 < summary["simulation_error_t_horizon"] < 0.05
 
@@ -457,12 +527,14 @@ class TestCliCommands:
                                 HISTORICAL, grid, 10, 42, keep_times=[1.0])
         states = {i0: recorded_ssa(bundle, 40, i0, 42)[0] for i0 in (2, 4)}
         for t, tag in ((0.25, "0.25"), (0.5, "0.5"), (1.0, "1")):
-            _, written = read_rating_csv(workdir / "g" / f"occupancy_t{tag}.csv")
+            header, written = _occupancy_rows(workdir / "g" / f"occupancy_t{tag}.csv")
+            assert header == ["from", "A", "B", "C", "D"]
+            assert list(written) == ["B", "D"]              # no zero rows A, C
             emp, present = empirical_transition(states, t, grid, 4)
             assert present == [2, 4]
             for i0 in present:
-                assert (written[i0 - 1] == emp[i0 - 1]).all(), (t, i0)
-            assert (written[3] == [0.0, 0.0, 0.0, 1.0]).all()
+                assert (written["ABCD"[i0 - 1]] == emp[i0 - 1]).all(), (t, i0)
+            assert written["D"] == [0.0, 0.0, 0.0, 1.0]
 
     def test_xva_report_regimes_and_identity(self, workdir):
         res = run_cli("xva", "--config", "run.cfg", "--out", "x", cwd=workdir)

@@ -15,7 +15,7 @@ from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 from ratingsde.sde import _philox_key
 
-from conftest import off_diagonal, recorded_ssa
+from conftest import off_diagonal, recorded_ssa, ssa_both_modes
 
 
 def flat_params(k, a, b, sigma):
@@ -94,8 +94,7 @@ class TestPiecewiseGenerators:
 
 def _ssa_one_gen(gen_path, grid, i0, n, key):
     """_ssa_batch for n paths that all follow one generator sequence."""
-    return _ssa_batch(gen_path[None], np.zeros(n, dtype=int),
-                      np.full(n, i0), grid, key)
+    return _ssa_batch(gen_path[None], n, i0, grid, key)
 
 
 class TestSsaSample:
@@ -128,9 +127,8 @@ class TestSsaSample:
         gen[:, :] = 0.0
         gen[0] = CONST_GEN[0]
         n = 20000
-        states, _, _ = _ssa_batch(off_diagonal(gen)[None, None],
-                                  np.zeros(n, dtype=int), np.ones(n, dtype=int),
-                                  grid, _philox_key([6]))
+        states, _, _ = _ssa_batch(off_diagonal(gen)[None, None], n, 1, grid,
+                                  _philox_key([6]))
         first = states[:, -1]
         jumped = first != 1
         freq = np.bincount(first[jumped] - 1, minlength=4)[1:]
@@ -152,9 +150,8 @@ class TestSsaBatch:
     def test_matches_matrix_exponential(self):
         grid = TimeGrid(1.0, 1)
         n = 50000
-        states, _, _ = _ssa_batch(off_diagonal(CONST_GEN)[None, None],
-                                  np.zeros(n, dtype=int),
-                                  np.full(n, 2), grid, _philox_key([8]))
+        states, _, _ = _ssa_batch(off_diagonal(CONST_GEN)[None, None], n, 2,
+                                  grid, _philox_key([8]))
         freq = np.bincount(states[:, -1] - 1, minlength=4) / n
         target = expm(CONST_GEN)[1]
         se = np.sqrt(target * (1 - target) / n)
@@ -163,8 +160,7 @@ class TestSsaBatch:
     def test_default_times_recorded_exactly(self):
         grid = TimeGrid(1.0, 4)
         gens = off_diagonal(CONST_GEN)[None, None].repeat(4, axis=1)
-        states, dts, pds = _ssa_batch(gens, np.zeros(2000, dtype=int),
-                                      np.full(2000, 3), grid, _philox_key([9]))
+        states, dts, pds = _ssa_batch(gens, 2000, 3, grid, _philox_key([9]))
         defaulted = ~np.isnan(dts)
         assert defaulted.any()
         assert np.all(dts[defaulted] >= 0) and np.all(dts[defaulted] < 1.0)
@@ -185,8 +181,7 @@ class TestSsaBatch:
         gens = np.where((np.arange(12) % 2 == 0)[:, None, None],
                         CONST_GEN, other) * scale[:, None, None]
         n = 50000
-        states, _, _ = _ssa_batch(off_diagonal(gens)[None],
-                                  np.zeros(n, dtype=int), np.full(n, 1), grid,
+        states, _, _ = _ssa_batch(off_diagonal(gens)[None], n, 1, grid,
                                   _philox_key([10]))
         target = np.eye(4)
         for g in gens:
@@ -196,32 +191,35 @@ class TestSsaBatch:
         assert np.all(np.abs(freq - target[0]) <= 3 * se + 1e-12)
 
     def test_paths_are_independent_of_the_batch(self, calibrated_params):
-        # path p draws from counter (path_offset + p, event): two halves
-        # with matching offsets equal one call bit for bit
+        # path p draws from counter (path_offset + p, event): a call over
+        # sequence 0 and one over sequences 1-3 with path_offset m2 equal
+        # one call over all four bit for bit, from every start rating
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 24), 4, 3, keep_times=[])
         gens = piecewise_generators(bundle) * 50.0   # several jumps per path
         p = 2000
-        gen_index = np.arange(p) % 4
-        i0 = 1 + np.arange(p) % 3
+        m2 = p // 4
         key = _philox_key([11])
-        whole = _ssa_batch(gens, gen_index, i0, bundle.grid, key)
-        half = p // 2
-        parts = [_ssa_batch(gens, gen_index[sl], i0[sl], bundle.grid, key,
-                            path_offset=sl.start)
-                 for sl in (slice(0, half), slice(half, p))]
-        jumps = np.count_nonzero(np.diff(whole[0], axis=1), axis=1)
-        assert np.count_nonzero(jumps >= 2) > p // 10
-        for w, a, b in zip(whole, *parts):
-            assert np.array_equal(w, np.concatenate([a, b]), equal_nan=True)
+        twice = 0
+        for i0 in (1, 2, 3):
+            whole = _ssa_batch(gens, m2, i0, bundle.grid, key)
+            parts = [_ssa_batch(gens[:1], m2, i0, bundle.grid, key),
+                     _ssa_batch(gens[1:], m2, i0, bundle.grid, key,
+                                path_offset=m2)]
+            jumps = np.count_nonzero(np.diff(whole[0], axis=1), axis=1)
+            twice += np.count_nonzero(jumps >= 2)
+            for w, a, b in zip(whole, *parts):
+                assert np.array_equal(w, np.concatenate([a, b]), equal_nan=True)
+        assert twice > 3 * p // 10
 
 
 class TestOccupancy:
     @staticmethod
-    def _bincounts(states, gen_index, g, k):
+    def _bincounts(states, g, k):
+        """Per-sequence state counts of blocked paths: g sequences in turn."""
         return np.stack([np.stack([np.bincount(col - 1, minlength=k)
-                                   for col in states[gen_index == i].T])
-                         for i in range(g)])
+                                   for col in block.T])
+                         for block in np.split(states, g)])
 
     def test_batch_occupancy_counts_the_returned_states(self, calibrated_params):
         # fast and calibrated time-varying generators, one active only in the
@@ -234,40 +232,43 @@ class TestOccupancy:
         gens = np.concatenate([gens * 50.0, gens, last_only,
                                np.zeros_like(gens[:1])])
         p, n = 1200, bundle.grid.steps
-        gen_index = np.arange(p) % 6
-        i0 = 1 + (np.arange(p) // 6) % 4
+        m2 = p // (6 * 4)               # per sequence and start rating
         for seed in (11, 12, 13):
-            occ = np.empty((6, n + 1, 4), dtype=np.int64)
-            states, _, _ = _ssa_batch(gens, gen_index, i0, bundle.grid,
-                                      _philox_key([seed]), occupancy=occ)
-            assert np.array_equal(occ, self._bincounts(states, gen_index, 6, 4))
-            jumps = np.diff(states, axis=1) != 0
-            only_last = jumps[:, -1] & ~jumps[:, :-1].any(axis=1)
-            assert only_last[gen_index == 4].any()
-            assert (~jumps.any(axis=1) & (i0 != 4)).any()
+            jumped_last_only = held = False
+            for i0 in (1, 2, 3, 4):
+                occ = np.empty((6, n + 1, 4), dtype=np.int64)
+                states = ssa_both_modes(gens, m2, i0, bundle.grid,
+                                        _philox_key([seed]), occ)[0]
+                assert np.array_equal(occ, self._bincounts(states, 6, 4))
+                jumps = np.diff(states, axis=1) != 0
+                only_last = jumps[:, -1] & ~jumps[:, :-1].any(axis=1)
+                jumped_last_only |= np.split(only_last, 6)[4].any()
+                held |= i0 != 4 and (~jumps.any(axis=1)).any()
+            assert jumped_last_only
+            assert held
 
     def test_initial_occupancy_matches_an_add_at_count(self, calibrated_params):
-        # mixed start ratings, the absorbing one included, over four
-        # sequences plus a fifth that no path uses; the array starts out
+        # every start rating, the absorbing one included, over four
+        # sequences plus a fifth that never moves; the array starts out
         # holding garbage, which every column must overwrite
         bundle = simulate_paths(calibrated_params, HISTORICAL,
                                 TimeGrid(1.0, 12), 4, 5, keep_times=[])
         gens = np.concatenate([piecewise_generators(bundle) * 30.0,
                                np.zeros_like(piecewise_generators(bundle)[:1])])
-        rng = np.random.default_rng(8)
         p, g, n = 900, 5, bundle.grid.steps
-        gen_index = rng.integers(0, 4, p)
-        i0 = rng.integers(1, 5, p)
-        assert (i0 == 4).any()
-        ref = np.zeros((g, 4), dtype=np.int64)
-        np.add.at(ref, (gen_index, i0 - 1), 1)
-        occ = np.full((g, n + 1, 4), -7, dtype=np.int64)
-        states, _, _ = _ssa_batch(gens, gen_index, i0, bundle.grid,
-                                  _philox_key([21]), occupancy=occ)
-        assert np.array_equal(occ[:, 0], ref)
-        assert np.array_equal(occ, self._bincounts(states, gen_index, g, 4))
-        assert not occ[4].any()
-        assert (states[:, -1] != i0).any()               # later columns moved
+        m2 = p // (g * 4)               # per sequence and start rating
+        moved = False
+        for i0 in (1, 2, 3, 4):
+            ref = np.zeros((g, 4), dtype=np.int64)
+            np.add.at(ref, (np.arange(g * m2) // m2, i0 - 1), 1)
+            occ = np.full((g, n + 1, 4), -7, dtype=np.int64)
+            states = ssa_both_modes(gens, m2, i0, bundle.grid,
+                                    _philox_key([21]), occ)[0]
+            assert np.array_equal(occ[:, 0], ref)
+            assert np.array_equal(occ, self._bincounts(states, g, 4))
+            assert np.array_equal(occ[4], np.broadcast_to(ref[4], (n + 1, 4)))
+            moved |= (states[:, -1] != i0).any()
+        assert moved                                     # later columns moved
 
     def test_nested_occupancy_counts_the_states(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
@@ -276,7 +277,7 @@ class TestOccupancy:
             by_i0 = sample_from_bundle(bundle, 400, [1, 2, 3, 4], seed)
             for i0, nested in by_i0.items():
                 states = recorded_ssa(bundle, 400, i0, seed)[0]
-                expect = self._bincounts(states, np.repeat(np.arange(3), 400), 3, 4)
+                expect = self._bincounts(states, 3, 4)
                 assert np.array_equal(nested.occupancy, expect)
 
     def test_skipping_states_changes_no_other_output(self, calibrated_params):
