@@ -5,7 +5,7 @@ __version__ = "0.6.2"
 
 from .errors import NumericalError, RatingSdeError, ValidationError
 from .lie import (BasisIndexMap, StochasticMatrix, ad, basis_index_map,
-                  coeffs_to_matrices, dexp_L, expm_batch, mat_exp, n_coords,
+                  coeffs_to_matrices, dexp_L, expm_batch, n_coords,
                   validate_stochastic)
 from .cohort import (CohortMatrix, WeightMatrix, adjusted_matrix,
                      distance_matrix, proportional_weights, reconstruct,

@@ -27,6 +27,12 @@ DEFAULT_BOUND_HI = 3.0
 DEFAULT_START = (1.5, 0.1, 0.05)   # (a, b, sigma) uniform starting point
 FD_REL_STEP = 1e-6
 LM_LAMBDA0 = 1e-3
+# Stopping rules of _levenberg_marquardt; an iteration stops after
+# LM_MAX_REJECTS rejected trial steps.
+LM_SSE_TOL = 1e-14
+LM_STEP_TOL = 1e-10
+LM_REL_TOL = 1e-3
+LM_MAX_REJECTS = 12
 # Box for the free entries of h, which all start at 1; the ratio kind
 # needs h_i > 0.
 RN_BOUNDS = {"jlt": (-1e4, 1e4), "exponential": (1e-6, 1e4)}
@@ -112,16 +118,15 @@ class HistCalibrationResult:
     converged: bool
 
 
-def _levenberg_marquardt(fun, x0, lo, hi, max_iter=60, sse_tol=1e-14,
-                         step_tol=1e-10, rel_tol=1e-3, max_rejects=12):
+def _levenberg_marquardt(fun, x0, lo, hi, max_iter=60):
     """Bounded Levenberg-Marquardt with a forward-difference Jacobian.
 
     Trial points are clipped to the box; the finite-difference step flips
-    direction at the upper bound.  Stops when the SSE falls below sse_tol,
-    the step below step_tol, or an accepted step improves the SSE by less
-    than the relative factor rel_tol.  Raises NumericalError if the
-    residual at the (clipped) start point or its sum of squares is not
-    finite.
+    direction at the upper bound.  Stops when the SSE falls below
+    LM_SSE_TOL, the step below LM_STEP_TOL, or an accepted step improves
+    the SSE by less than the relative factor LM_REL_TOL.  Raises
+    NumericalError if the residual at the (clipped) start point or its sum
+    of squares is not finite.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = fun(x)
@@ -153,7 +158,7 @@ def _levenberg_marquardt(fun, x0, lo, hi, max_iter=60, sse_tol=1e-14,
         jtj = jac.T @ jac
         g = jac.T @ r
         accepted = False
-        for _ in range(max_rejects):
+        for _ in range(LM_MAX_REJECTS):
             try:
                 step = np.linalg.solve(jtj + lam * np.eye(n), -g)
             except np.linalg.LinAlgError:
@@ -168,12 +173,12 @@ def _levenberg_marquardt(fun, x0, lo, hi, max_iter=60, sse_tol=1e-14,
                 x, r, sse = trial, rt, sse_t
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if sse < sse_tol or move < step_tol or improvement < rel_tol:
+                if sse < LM_SSE_TOL or move < LM_STEP_TOL or improvement < LM_REL_TOL:
                     converged = True
                 break
             lam *= 10.0
         if not accepted:
-            converged = sse < sse_tol
+            converged = sse < LM_SSE_TOL
             break
         if converged:
             break

@@ -156,8 +156,6 @@ def _require_allocatable(cfg: RunConfig, keys: str, *arrays: tuple[int, ...]) ->
     fit in this machine's physical memory.  Each array is a tuple of its
     dimensions and its item size in bytes; `keys` names the config keys
     that size them."""
-    if any(d < 1 for a in arrays for d in a):
-        return                        # the commands' own checks reject these
     nbytes = max(math.prod(a) for a in arrays)
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -201,7 +199,7 @@ def _warn_unconverged(command: str, result) -> None:
 def _cmd_calibrate_hist(args) -> int:
     cfg, out = _load(args)
     rec, adj = _read_targets(cfg)
-    m, grid = cfg.get_int("hist.m", 1000), cfg.grid()
+    m, grid = cfg.get_count("hist.m", 1000, 1), cfg.grid()
     _require_allocatable(cfg, "hist.m and grid.steps_per_year",
                          (m, grid.steps, n_coords(cfg.k), 8))
     spec = HistCalibrationSpec(
@@ -230,7 +228,7 @@ def _cmd_calibrate_rn(args) -> int:
     if len(pd_labels) != cfg.k:
         raise ValidationError(f"PD targets have {len(pd_labels)} rows, expected {cfg.k}")
     kind = cfg.get_str("measure.kind", required=True)
-    m, grid = cfg.get_int("rn.m", 1000), cfg.grid()
+    m, grid = cfg.get_count("rn.m", 1000, 1), cfg.grid()
     _require_allocatable(cfg, "rn.m and grid.steps_per_year",
                          (m, grid.steps, n_coords(cfg.k), 8))
     result = calibrate_risk_neutral(params, kind, PdTargets(pds), grid=grid,
@@ -257,7 +255,7 @@ def _cmd_simulate(args) -> int:
     params = _read_params(cfg)
     grid = cfg.grid()
     k = cfg.k
-    m = cfg.get_int("sim.m", 1000)
+    m = cfg.get_count("sim.m", 1000, 2)         # var_matrix needs two
     checkpoints = [float(t) for t in cfg.checkpoints()]
     # the histograms read R_T, the fans every R_k of the leading paths
     keep_times = checkpoints + [grid.horizon]
@@ -306,8 +304,8 @@ def _cmd_ssa(args) -> int:
     grid = cfg.grid()
     labels = cfg.labels()
     k = cfg.k
-    m1 = cfg.get_int("sim.m1", 100)
-    m2 = cfg.get_int("sim.m2", 1000)
+    m1 = cfg.get_count("sim.m1", 100, 1)
+    m2 = cfg.get_count("sim.m2", 1000, 1)
     # the intensities and the per-path arrays
     _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
                          (m1, grid.steps, n_coords(k), 8), (m1, m2, 8))
@@ -375,10 +373,7 @@ def _cmd_xva(args) -> int:
     cfg, out = _load(args)
     params = _read_params(cfg)
     grid = cfg.grid()
-    m = cfg.get_int("xva.m", 10000)
-    if m < 2:
-        raise ValidationError(f"{cfg.source}: xva.m must be >= 2, since the "
-                              f"standard errors need two scenarios, got {m}")
+    m = cfg.get_count("xva.m", 10000, 2)        # the standard errors need two
     # posting dates off the grid are rejected before anything is drawn
     posting_indices(grid, cfg.csa_terms().postings_per_year)
     _require_allocatable(cfg, "xva.m and grid.steps_per_year", (m, grid.steps + 1, 8))

@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .lie import StochasticMatrix
 
 _ROW_SUM_SLACK = 1e-9
+_WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,14 @@ def uniform_weights(k: int) -> WeightMatrix:
     return WeightMatrix(np.ones((k, k)))
 
 
-def proportional_weights(cohort: CohortMatrix, floor: float = 1e-12) -> WeightMatrix:
+def proportional_weights(cohort: CohortMatrix) -> WeightMatrix:
     """Weights proportional to the surviving entries of each row.
 
-    Zero entries are floored at a tiny positive value to keep the weight
-    matrix strictly positive; rows with some mass are effectively
+    Zero entries are floored at _WEIGHT_FLOOR to keep the weight matrix
+    strictly positive; rows with some mass are effectively
     redistributed pro rata.
     """
-    return WeightMatrix(np.maximum(cohort.entries, floor))
+    return WeightMatrix(np.maximum(cohort.entries, _WEIGHT_FLOOR))
 
 
 def withdrawal_rates(cohort: CohortMatrix) -> np.ndarray:

@@ -95,6 +95,13 @@ class RunConfig:
         except ValueError as exc:
             raise ValidationError(f"{self.source}: {key} must be an integer, got {raw!r}") from exc
 
+    def get_count(self, key: str, default: int, least: int) -> int:
+        """An integer count of at least `least`."""
+        value = self.get_int(key, default)
+        if value < least:
+            raise ValidationError(f"{self.source}: {key} must be >= {least}, got {value}")
+        return value
+
     def get_float(self, key: str, default: float | None = None, required: bool = False):
         raw = self._raw(key, None, required)
         if raw is None:
@@ -208,7 +215,7 @@ class RunConfig:
     def portfolio(self) -> PortfolioSpec:
         return PortfolioSpec(
             v0=self.get_float("portfolio.v0", 0.0),
-            n=self.get_int("portfolio.n", 24),
+            n=self.get_count("portfolio.n", 24, 0),
             sigma_scale=self.get_float("portfolio.sigma_scale", 10.0),
             horizon=self.get_float("grid.horizon", 1.0),
             seed=self.get_int("portfolio.seed", 0),

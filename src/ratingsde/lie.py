@@ -19,7 +19,6 @@ from .errors import ValidationError
 
 # Defaults used across the library.
 ROW_SUM_TOL = 1e-10          # internally produced matrices
-GENERATOR_ROW_SUM_TOL = 1e-12
 
 
 def n_coords(k: int) -> int:
@@ -188,34 +187,6 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
         r[need] = r[need] @ r[need]
         s = s - need
     return r.reshape(batch_shape + (k, k))
-
-
-def mat_exp(a: np.ndarray) -> StochasticMatrix:
-    """Exponential of a generator; checks the domain, returns a stochastic matrix.
-
-    Rows are divided by their sums to remove round-off drift from 1, and the
-    absorbing row is set exactly.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    k = a.shape[0]
-    row_sums = a.sum(axis=1)
-    if np.abs(row_sums).max() > GENERATOR_ROW_SUM_TOL:
-        raise ValidationError(
-            f"generator row sums must vanish; max |sum| = {np.abs(row_sums).max():.3e}"
-        )
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    if off.min() < 0:
-        raise ValidationError("generator off-diagonal entries must be nonnegative")
-    if np.abs(a[-1]).max() > GENERATOR_ROW_SUM_TOL:
-        raise ValidationError("last generator row must be zero (absorbing default)")
-    r = expm_batch(a[None])[0]
-    r /= r.sum(axis=1, keepdims=True)
-    r[-1] = 0.0
-    r[-1, -1] = 1.0
-    return StochasticMatrix(k=k, entries=r)
 
 
 def ad(a: np.ndarray, h: np.ndarray) -> np.ndarray:

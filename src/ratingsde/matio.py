@@ -2,10 +2,10 @@
 
 Rating-matrix CSV: header ``from,<label_1>,...,<label_K>`` followed by K
 rows ``<label_l>,v_1,...,v_K``.  A trailing ``w_t`` column (withdrawal
-rates) is accepted on read and ignored; it is emitted on write only for
-cohort matrices.  Floats are written with 17 significant digits so every
-file round-trips losslessly; a non-finite number is rejected on read.  The
-`ssa` occupancy files write a subset of the rows under the full header.
+rates) is accepted on read and ignored; it is never written.  Floats are
+written with 17 significant digits so every file round-trips losslessly;
+a non-finite number is rejected on read.  The `ssa` occupancy files write
+a subset of the rows under the full header.
 """
 
 from __future__ import annotations
@@ -67,28 +67,22 @@ def read_rating_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     return labels, entries
 
 
-def format_rating_csv(labels: list[str], entries: np.ndarray, withdrawals: bool = False,
+def format_rating_csv(labels: list[str], entries: np.ndarray,
                       rows: list[int] | None = None) -> str:
     """The CSV text of `entries` under the full header; `rows` (0-based, in
     order) selects the rows written, all K by default."""
     entries = np.asarray(entries, dtype=float)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    header = ["from", *labels]
-    if withdrawals:
-        header.append("w_t")
-    w.writerow(header)
+    w.writerow(["from", *labels])
     for i in range(len(labels)) if rows is None else rows:
-        row = [labels[i], *(_fmt(v) for v in entries[i])]
-        if withdrawals:
-            row.append(_fmt(1.0 - entries[i].sum()))
-        w.writerow(row)
+        w.writerow([labels[i], *(_fmt(v) for v in entries[i])])
     return buf.getvalue()
 
 
 def write_rating_csv(path: str | Path, labels: list[str], entries: np.ndarray,
-                     withdrawals: bool = False, rows: list[int] | None = None) -> None:
-    Path(path).write_text(format_rating_csv(labels, entries, withdrawals, rows))
+                     rows: list[int] | None = None) -> None:
+    Path(path).write_text(format_rating_csv(labels, entries, rows))
 
 
 def read_params_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -144,11 +138,3 @@ def read_pd_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         pds.append(_parse_float(row[1], f"{path}: line {i}, column 2"))
     return labels, np.array(pds)
 
-
-def write_pd_csv(path: str | Path, labels: list[str], pds: np.ndarray) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["rating", "pd"])
-    for lab, p in zip(labels, pds):
-        w.writerow([lab, _fmt(p)])
-    Path(path).write_text(buf.getvalue())

@@ -359,18 +359,16 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                    m: int, seed: int, traj_offset: int = 0, *,
-                   keep_times: list[float] | None = None,
+                   keep_times: list[float],
                    keep_paths: int = 0) -> MatrixPathBundle:
     """Group-preserving Euler simulation of M rating-matrix trajectories.
 
     The increments dA = |Y_k|^a dt depend on the driver Y alone, so the
     group products R_{k+1} = R_k exp(dA) are formed only when a matrix is
-    kept.  Without keep_times the bundle keeps every R_k of every
-    trajectory, with rpaths and matrices the same array; given keep_times,
-    it keeps R at those grid times for every trajectory and every R_k of
-    the leading keep_paths trajectories, so keep_times=[] with
-    keep_paths=0 keeps the increments only.  Raises NumericalError if any
-    increment or kept matrix is non-finite.
+    kept.  The bundle keeps R at the grid times keep_times for every
+    trajectory and every R_k of the leading keep_paths trajectories, so
+    keep_times=[] with keep_paths=0 keeps the increments only.  Raises
+    NumericalError if any increment or kept matrix is non-finite.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -379,16 +377,11 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     increments = _increments(params, measure, grid,
                              draw_noise(k, grid, m, seed, traj_offset))
     _require_finite(increments, "generator increments")
-    if keep_times is None:
-        kept = tuple(range(grid.steps + 1))
-        rpaths = matrices = np.empty((m, grid.steps + 1, k, k))
-        _products(increments, k, rpaths)
-    else:
-        kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
-        rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
-        matrices = np.empty((m, len(kept), k, k))
-        if kept or len(rpaths):
-            _products(increments, k, rpaths, kept, matrices)
+    kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
+    rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
+    matrices = np.empty((m, len(kept), k, k))
+    if kept or len(rpaths):
+        _products(increments, k, rpaths, kept, matrices)
     _require_finite(matrices, "rating-matrix entries")
     _require_finite(rpaths, "rating-matrix entries")
     return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths,

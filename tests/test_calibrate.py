@@ -159,8 +159,10 @@ class TestCalibrateRiskNeutral:
 class TestPropertyReport:
     def test_identity_bundle_has_no_violations(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 12), 5, 0)
-        rep = property_report(bundle, [0.25, 0.5, 1.0])
+        checkpoints = [0.25, 0.5, 1.0]
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 12), 5, 0,
+                                keep_times=checkpoints)
+        rep = property_report(bundle, checkpoints)
         for stats in rep.all_stats().values():
             for st in stats:
                 assert st.violation_fraction == 0.0
@@ -174,9 +176,10 @@ class TestPropertyReport:
             assert all(st.violation_fraction == 0.0 for st in stats)
 
     def test_calibrated_bundle_small_early_violations(self, calibrated_params):
+        checkpoints = [1 / 12, 0.25, 0.5, 1.0]
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 120), 300, 8)
-        rep = property_report(bundle, [1 / 12, 0.25, 0.5, 1.0])
+                                TimeGrid(1.0, 120), 300, 8, keep_times=checkpoints)
+        rep = property_report(bundle, checkpoints)
         late = [st for stats in rep.all_stats().values() for st in stats
                 if not isinstance(st.checkpoint, tuple) and st.checkpoint >= 0.25]
         assert all(st.violation_fraction <= 0.01 for st in late)
@@ -185,7 +188,7 @@ class TestPropertyReport:
 
     def test_needs_two_checkpoints_for_decreasing_diagonal(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 5, 0)
+                                TimeGrid(1.0, 12), 5, 0, keep_times=[1.0])
         rep = property_report(bundle, [1.0])
         assert rep.decreasing_diagonal == []
 

@@ -22,8 +22,7 @@ from ratingsde import cli, sde
 from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
-                             read_rating_csv, write_params_csv, write_pd_csv,
-                             write_rating_csv)
+                             read_rating_csv, write_params_csv, write_rating_csv)
 from ratingsde.svgplot import _Panel, _points, trajectory_fans
 
 from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, recorded_ssa, run_cli
@@ -38,12 +37,14 @@ class TestMatIo:
         assert np.array_equal(entries, reconstructed)
 
     def test_withdrawal_column_ignored_on_read(self, tmp_path, cohort):
-        text = format_rating_csv(["A", "B", "C", "D"], cohort.entries,
-                                 withdrawals=True)
-        assert "w_t" in text.splitlines()[0]
+        header, *rows = format_rating_csv(["A", "B", "C", "D"],
+                                          cohort.entries).splitlines()
+        w = 1.0 - cohort.entries.sum(axis=1)
         p = tmp_path / "with_wt.csv"
-        p.write_text(text)
+        p.write_text("\n".join([header + ",w_t",
+                                *(f"{row},{wi!r}" for row, wi in zip(rows, w))]) + "\n")
         labels, entries = read_rating_csv(p)
+        assert labels == ["A", "B", "C", "D"]
         assert np.array_equal(entries, cohort.entries)
 
     def test_parse_error_reports_location(self, tmp_path):
@@ -60,9 +61,9 @@ class TestMatIo:
         assert labels2 == labels
         assert np.array_equal(a2, a) and np.array_equal(s2, s)
 
-    def test_pd_round_trip(self, tmp_path):
+    def test_pd_csv_read(self, tmp_path):
         p = tmp_path / "pd.csv"
-        write_pd_csv(p, ["A", "B", "C", "D"], np.array([0.1, 0.2, 0.3, 1.0]))
+        p.write_text("rating,pd\nA,0.1\nB,0.2\nC,0.3\nD,1\n")
         labels, pds = read_pd_csv(p)
         assert labels == ["A", "B", "C", "D"]
         assert np.array_equal(pds, [0.1, 0.2, 0.3, 1.0])
@@ -564,6 +565,31 @@ class TestCliCommands:
         assert res.returncode == code, res.stderr
         assert ("xva.m" if code == 1 else "non-finite") in res.stderr
         assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command, key, value, least", [
+        ("simulate", "sim.m", 1, 2),      # var_matrix needs two trajectories
+        ("ssa", "sim.m1", 0, 1),
+        ("ssa", "sim.m2", 0, 1),
+        ("xva", "xva.m", 1, 2),
+        ("calibrate-hist", "hist.m", 0, 1),
+        ("calibrate-rn", "rn.m", -3, 1),
+        ("xva", "portfolio.n", -1, 0),
+    ])
+    def test_too_small_count_names_the_key(self, workdir, monkeypatch, capsys,
+                                           command, key, value, least):
+        def no_draws(counter, key):
+            raise AssertionError("a draw was made before the counts were checked")
+
+        monkeypatch.setattr(sde, "_philox4x32", no_draws)
+        cfg = workdir / "run.cfg"
+        lines = [line for line in cfg.read_text().splitlines()
+                 if not line.startswith(f"{key} =")]
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        code = cli.main([command, "--config", str(cfg), "--out", str(workdir / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"ratingsde: validation error: {cfg}: "
+                                           f"{key} must be >= {least}, got {value}\n")
         assert list((workdir / "o").iterdir()) == []
 
     @pytest.mark.parametrize("command, old, new", [

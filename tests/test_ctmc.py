@@ -26,7 +26,8 @@ def flat_params(k, a, b, sigma):
 
 def nested_simulate(params, grid, m1, m2, i0, seed):
     """m2 rating paths from i0 on each of m1 matrix trajectories, as `ssa` runs."""
-    bundle = simulate_paths(params, HISTORICAL, grid, m1, seed)
+    bundle = simulate_paths(params, HISTORICAL, grid, m1, seed,
+                            keep_times=[grid.horizon])
     return sample_from_bundle(bundle, m2, [i0], seed)[i0]
 
 
@@ -41,7 +42,8 @@ CONST_GEN = np.array([
 class TestPiecewiseGenerators:
     def test_zero_increments_give_zero_generators(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0)
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0,
+                                keep_times=[])
         gens = piecewise_generators(bundle)
         assert np.array_equal(gens, np.zeros((2, 5, 3, 3)))
 
@@ -49,7 +51,8 @@ class TestPiecewiseGenerators:
         lam = 0.6
         params = SdeParams(k=2, a=np.array([1.0]), b=np.array([0.0]),
                            sigma=np.array([0.0]), y0=np.array([lam]))
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 4), 1, 0)
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 4), 1, 0,
+                                keep_times=[])
         gens = piecewise_generators(bundle)
         assert np.allclose(gens, np.broadcast_to(
             off_diagonal(np.array([[-lam, lam], [0.0, 0.0]])), (1, 4, 1, 1)),
@@ -57,7 +60,8 @@ class TestPiecewiseGenerators:
 
     def test_exp_of_generator_reproduces_step_factor(self, calibrated_params):
         grid = TimeGrid(1.0, 10)
-        bundle = simulate_paths(calibrated_params, HISTORICAL, grid, 3, 4)
+        bundle = simulate_paths(calibrated_params, HISTORICAL, grid, 3, 4,
+                                keep_times=[], keep_paths=3)
         gens = coeffs_to_matrices(
             piecewise_generators(bundle).reshape(3, 10, 9), 4)
         rp = bundle.rpaths
@@ -272,7 +276,7 @@ class TestOccupancy:
 
     def test_nested_occupancy_counts_the_states(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4)
+                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
         for seed in (0, 1):
             by_i0 = sample_from_bundle(bundle, 400, [1, 2, 3, 4], seed)
             for i0, nested in by_i0.items():
@@ -285,7 +289,7 @@ class TestOccupancy:
         # tensor across the ratings; its outputs equal, bit for bit, those of
         # each rating's own _ssa_batch call with states recorded
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4)
+                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
         for seed in (0, 1):
             by_i0 = sample_from_bundle(bundle, 400, [1, 2, 3, 4], seed)
             assert list(by_i0) == [1, 2, 3, 4]
@@ -304,13 +308,13 @@ class TestOccupancy:
         monkeypatch.setattr(ctmc, "piecewise_generators",
                             lambda bundle: calls.append(1) or build(bundle))
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4)
+                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
         assert len(sample_from_bundle(bundle, 10, [1, 2, 3], 0)) == 3
         assert len(calls) == 1
 
     def test_sampling_rejects_an_initial_rating_off_the_scale(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4)
+                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
         with pytest.raises(ValidationError, match="initial rating"):
             sample_from_bundle(bundle, 10, [1, 5], 0)
 
@@ -318,7 +322,8 @@ class TestOccupancy:
         # the (M1*M2, N+1) int8 state matrix alone would take 2.40 MB here
         m1, m2 = 2, 1000
         grid = TimeGrid(1.0, 1200)
-        bundle = simulate_paths(calibrated_params, HISTORICAL, grid, m1, 0)
+        bundle = simulate_paths(calibrated_params, HISTORICAL, grid, m1, 0,
+                                keep_times=[])
         tracemalloc.start()
         try:
             nested = sample_from_bundle(bundle, m2, [1], 0)[1]
@@ -367,7 +372,8 @@ class TestNestedSimulate:
 class TestEmpiricalTransition:
     def test_frozen_chain_gives_identity_rows(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 1, 0)
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 1, 0,
+                                keep_times=[])
         groups = {i0: recorded_ssa(bundle, 20, i0, 0)[0] for i0 in (1, 2, 3)}
         emp, present = empirical_transition(groups, 1.0, bundle.grid, 4)
         assert present == [1, 2, 3]
@@ -379,7 +385,7 @@ class TestEmpiricalTransition:
         params = SdeParams(k=2, a=np.array([1.0]), b=np.array([0.0]),
                            sigma=np.array([0.0]), y0=np.array([lam]))
         grid = TimeGrid(1.0, 8)
-        bundle = simulate_paths(params, HISTORICAL, grid, 1, 0)
+        bundle = simulate_paths(params, HISTORICAL, grid, 1, 0, keep_times=[])
         n = 20000
         groups = {1: recorded_ssa(bundle, n, 1, 0)[0]}
         emp, _ = empirical_transition(groups, 1.0, grid, 2)
@@ -388,7 +394,8 @@ class TestEmpiricalTransition:
 
     def test_simulation_error_zero_for_frozen_chain(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0)
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0,
+                                keep_times=[1.0])
         nested = sample_from_bundle(bundle, 10, [1, 2, 3], 0)
         assert simulation_error(nested, 1.0) <= 1e-12
 
@@ -396,14 +403,14 @@ class TestEmpiricalTransition:
         # one sampled rating: the norm covers its row and the exact absorbing
         # row, divided by rows * K
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 10), 3, 5)
+                                TimeGrid(1.0, 10), 3, 5, keep_times=[1.0])
         nested = sample_from_bundle(bundle, 200, [2], 5)[2]
         states = recorded_ssa(bundle, 200, 2, 5)[0].reshape(3, 200, -1)
         emp = np.zeros((3, 2, 4))
         emp[:, 0] = [np.bincount(row - 1, minlength=4) / 200
                      for row in states[:, :, -1]]
         emp[:, 1, 3] = 1.0
-        model = bundle.rpaths[:, -1][:, [1, 3]]
+        model = bundle.matrices_at(1.0)[:, [1, 3]]
         expect = np.linalg.norm(model - emp, axis=(1, 2)).mean() / 8
         assert np.isclose(simulation_error({2: nested}, 1.0), expect,
                           rtol=1e-12, atol=0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratingsde import (ValidationError, ad, basis_index_map, dexp_L, mat_exp,
-                       n_coords, validate_stochastic)
+from ratingsde import (ValidationError, ad, basis_index_map, dexp_L, n_coords,
+                       validate_stochastic)
 from ratingsde.datasets import annual_example, cohort_1y
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 
@@ -76,30 +76,26 @@ class TestAlgebraFromCoeffs:
 
 class TestMatExp:
     def test_exp_zero_is_identity(self):
-        out = mat_exp(np.zeros((4, 4)))
-        assert np.array_equal(out.entries, np.eye(4))
+        out = expm_batch(np.zeros((1, 4, 4)))[0]
+        assert np.array_equal(out, np.eye(4))
 
     def test_k2_closed_form(self):
-        out = mat_exp(np.array([[-1.0, 1.0], [0.0, 0.0]]))
-        assert np.allclose(out.entries,
-                           [[np.exp(-1), 1 - np.exp(-1)], [0.0, 1.0]], atol=1e-14)
+        out = expm_batch(np.array([[[-1.0, 1.0], [0.0, 0.0]]]))[0]
+        assert np.allclose(out, [[np.exp(-1), 1 - np.exp(-1)], [0.0, 1.0]],
+                           atol=1e-14)
 
     def test_matches_taylor_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = coeffs_to_matrices(rng.uniform(0, 5, 9), 4)
-            assert np.allclose(mat_exp(a).entries, taylor_expm(a), atol=1e-12)
+            assert np.allclose(expm_batch(a[None])[0], taylor_expm(a), atol=1e-12)
 
     def test_group_closure(self):
         rng = np.random.default_rng(3)
         ca = coeffs_to_matrices(rng.uniform(0, 3, 9), 4)
         cb = coeffs_to_matrices(rng.uniform(0, 3, 9), 4)
-        prod = mat_exp(ca).entries @ mat_exp(cb).entries
-        assert validate_stochastic(prod, 1e-10).passed
-
-    def test_rejects_nonzero_row_sum(self):
-        with pytest.raises(ValidationError):
-            mat_exp(np.array([[-1.0, 1.0], [0.5, 0.0]]))
+        ea, eb = expm_batch(np.stack([ca, cb]))
+        assert validate_stochastic(ea @ eb, 1e-10).passed
 
     def test_expm_batch_per_matrix_scaling_is_partition_independent(self):
         rng = np.random.default_rng(11)

@@ -51,7 +51,8 @@ class TestKappaFromH:
 class TestSimulatePaths:
     def test_degenerate_params_freeze_at_identity(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 10), 3, 0)
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 10), 3, 0,
+                                keep_times=[], keep_paths=3)
         assert np.allclose(bundle.rpaths,
                            np.broadcast_to(np.eye(4), (3, 11, 4, 4)))
 
@@ -60,13 +61,13 @@ class TestSimulatePaths:
         lam = 0.8
         grid = TimeGrid(1.0, 4000)
         params = flat_params(2, 1.0, lam, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, grid, 1, 0)
-        p12 = bundle.rpaths[0, -1, 0, 1]
+        bundle = simulate_paths(params, HISTORICAL, grid, 1, 0, keep_times=[1.0])
+        p12 = bundle.matrices_at(1.0)[0, 0, 1]
         assert p12 == pytest.approx(1.0 - np.exp(-lam / 2.0), abs=2e-4)
 
     def test_all_steps_row_stochastic(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 30), 50, 1)
+                                TimeGrid(1.0, 30), 50, 1, keep_times=[], keep_paths=50)
         rp = bundle.rpaths
         assert np.abs(rp.sum(axis=-1) - 1.0).max() <= 1e-9
         assert rp.min() >= 0.0 and rp.max() <= 1.0 + 1e-12
@@ -75,7 +76,7 @@ class TestSimulatePaths:
 
     def test_increments_nonnegative(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 20), 10, 2)
+                                TimeGrid(1.0, 20), 10, 2, keep_times=[])
         assert bundle.increments.min() >= 0.0
 
     def test_measure_change_equals_drift_shift_bitwise(self):
@@ -86,19 +87,23 @@ class TestSimulatePaths:
         kappa = kappa_from_h(measure, 4)
         shifted = SdeParams(k=4, a=params.a, b=params.b + params.sigma * kappa,
                             sigma=params.sigma)
-        b_q = simulate_paths(params, measure, grid, 20, 3)
-        b_p = simulate_paths(shifted, HISTORICAL, grid, 20, 3)
+        b_q = simulate_paths(params, measure, grid, 20, 3, keep_times=[], keep_paths=20)
+        b_p = simulate_paths(shifted, HISTORICAL, grid, 20, 3, keep_times=[],
+                             keep_paths=20)
         assert np.array_equal(b_q.rpaths, b_p.rpaths)
 
     def test_seed_determinism(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        b1 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11)
-        b2 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11)
+        b1 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11, keep_times=[],
+                            keep_paths=8)
+        b2 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11, keep_times=[],
+                            keep_paths=8)
         assert np.array_equal(b1.rpaths, b2.rpaths)
 
     def test_chunked_matches_single_call_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        single = simulate_paths(calibrated_params, HISTORICAL, g, 600, 5)
+        single = simulate_paths(calibrated_params, HISTORICAL, g, 600, 5,
+                                keep_times=[], keep_paths=600)
         for keep_paths in (50, 300, 0):
             offsets, increments = [], []
             chunked = simulate_paths_threaded(     # 3 chunks of <= 256
@@ -139,7 +144,8 @@ class TestSimulatePaths:
 
     def test_skipping_products_keeps_increments_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        full = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5)
+        full = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[1.0],
+                              keep_paths=7)
         lean = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[])
         assert lean.kept == () and lean.matrices.size == lean.rpaths.size == 0
         assert np.array_equal(lean.increments, full.increments)
@@ -163,9 +169,9 @@ class TestSimulatePaths:
 
     def test_terminal_matches_full_simulation(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        bundle = simulate_paths(calibrated_params, HISTORICAL, g, 6, 9)
+        bundle = simulate_paths(calibrated_params, HISTORICAL, g, 6, 9, keep_times=[1.0])
         rt = simulate_terminal(calibrated_params, HISTORICAL, g, draw_noise(4, g, 6, 9))
-        assert np.array_equal(bundle.rpaths[:, -1], rt)
+        assert np.array_equal(bundle.matrices_at(1.0), rt)
 
     @pytest.mark.parametrize("shape", [(0, 15, 9), (6, 14, 9), (6, 15, 4), (15, 9)])
     def test_terminal_rejects_misshapen_noise(self, calibrated_params, shape):
@@ -176,12 +182,14 @@ class TestSimulatePaths:
     def test_strong_convergence_under_halving(self):
         # halving dt changes the terminal matrix at O(dt) on a smoke test
         params = flat_params(4, 1.3, 0.3, 0.0)
-        ref = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 512), 1, 0)
-        r_ref = ref.rpaths[0, -1]
+        ref = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 512), 1, 0,
+                             keep_times=[1.0])
+        r_ref = ref.matrices_at(1.0)[0]
         errs = []
         for n in (32, 64, 128):
-            b = simulate_paths(params, HISTORICAL, TimeGrid(1.0, n), 1, 0)
-            errs.append(np.linalg.norm(b.rpaths[0, -1] - r_ref))
+            b = simulate_paths(params, HISTORICAL, TimeGrid(1.0, n), 1, 0,
+                               keep_times=[1.0])
+            errs.append(np.linalg.norm(b.matrices_at(1.0)[0] - r_ref))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.35)
 
@@ -260,24 +268,26 @@ class TestGirsanovDensity:
 class TestMoments:
     def test_zero_volatility_variance_is_zero(self):
         params = flat_params(4, 1.0, 0.2, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 10), 5, 0)
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 10), 5, 0,
+                                keep_times=[1.0])
         assert np.abs(var_matrix(bundle, 1.0)).max() == 0.0
 
     def test_single_trajectory_variance_rejected(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 5), 1, 0)
+                                TimeGrid(1.0, 5), 1, 0, keep_times=[1.0])
         with pytest.raises(ValidationError):
             var_matrix(bundle, 1.0)
 
     def test_identity_mean(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 4, 0)
+        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 4, 0,
+                                keep_times=[1.0])
         assert np.allclose(mean_matrix(bundle, 1.0), np.eye(4), atol=1e-12)
 
     def test_off_grid_time_rejected(self, calibrated_params):
         bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 7), 2, 0)
-        with pytest.raises(ValidationError):
+                                TimeGrid(1.0, 7), 2, 0, keep_times=[1.0])
+        with pytest.raises(ValidationError, match="not on the grid"):
             mean_matrix(bundle, 0.5)
 
 
