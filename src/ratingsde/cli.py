@@ -28,8 +28,8 @@ from . import __version__
 from .calibrate import (HistCalibrationSpec, PdTargets, calibrate_historical,
                         calibrate_risk_neutral, coordinate_labels,
                         property_report)
-from .cohort import (CohortMatrix, WeightMatrix, proportional_weights, repair,
-                     uniform_weights)
+from .cohort import (CohortMatrix, RepairOutputs, WeightMatrix, proportional_weights,
+                     repair, uniform_weights)
 from .config import RunConfig
 from .ctmc import sample_from_bundle, simulation_error
 from .errors import NumericalError, RatingSdeError, ValidationError
@@ -40,7 +40,7 @@ from .sde import (_CHUNK, _require_finite, mean_matrix, simulate_paths,
                   simulate_paths_threaded, var_matrix)
 from .svgplot import (_FAN_PATHS, entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
-from .xva import (perfect_terms, posting_indices, predefault_distribution,
+from .xva import (CsaTerms, perfect_terms, posting_indices, predefault_distribution,
                   simulate_xva_paths, uncollateralized_terms, xva_by_regime)
 
 
@@ -106,12 +106,19 @@ def _write_summary(out: Path, command: str, cfg: RunConfig, outputs: list[str],
         json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def _read_cohort(cfg: RunConfig) -> tuple[list[str], CohortMatrix]:
-    labels, entries = read_rating_csv(cfg.get_path("paths.cohort", required=True))
+def _read_rated(cfg: RunConfig, key: str, read=read_rating_csv,
+                required: bool = True) -> np.ndarray | None:
+    """The values `read` takes from the rating-indexed CSV that config key
+    `key` names, whose rows must carry the configured labels in order;
+    None if the key is unset and not required."""
+    path = cfg.get_path(key, required=required)
+    if path is None:
+        return None
+    labels, values = read(path)
     if labels != cfg.labels():
-        raise ValidationError(
-            f"cohort labels {labels} do not match configured labels {cfg.labels()}")
-    return labels, CohortMatrix(k=len(labels), entries=entries)
+        raise ValidationError(f"{cfg.source}: {key}: {path} has labels {labels}, "
+                              f"expected the configured labels {cfg.labels()}")
+    return values
 
 
 def _weights(cfg: RunConfig, cohort: CohortMatrix) -> WeightMatrix:
@@ -121,9 +128,16 @@ def _weights(cfg: RunConfig, cohort: CohortMatrix) -> WeightMatrix:
     if kind == "proportional":
         return proportional_weights(cohort)
     if kind == "file":
-        _, entries = read_rating_csv(cfg.get_path("weights.file", required=True))
-        return WeightMatrix(entries)
+        return WeightMatrix(_read_rated(cfg, "weights.file"))
     raise ValidationError(f"weights.kind must be uniform|proportional|file, got {kind!r}")
+
+
+def _repair(cfg: RunConfig) -> RepairOutputs:
+    """The repair artifacts of the cohort, with the injected reconstruction
+    of `paths.reconstructed` if one is given."""
+    cohort = CohortMatrix(k=cfg.k, entries=_read_rated(cfg, "paths.cohort"))
+    return repair(cohort, _weights(cfg, cohort),
+                  reconstructed=_read_rated(cfg, "paths.reconstructed", required=False))
 
 
 def _read_params(cfg: RunConfig):
@@ -134,21 +148,6 @@ def _read_params(cfg: RunConfig):
         raise ValidationError(
             f"{path}: coordinate labels {labels} are not the canonical order {expected}")
     return cfg.sde_params(a, b, sigma)
-
-
-def _read_targets(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(repaired matrix, adjusted matrix) from files, or computed from the cohort."""
-    rec_path = cfg.get_path("paths.reconstructed")
-    adj_path = cfg.get_path("paths.adjusted")
-    if rec_path is not None and adj_path is not None:
-        _, rec = read_rating_csv(rec_path)
-        _, adj = read_rating_csv(adj_path)
-        return rec, adj
-    _, cohort = _read_cohort(cfg)
-    outputs = repair(cohort, _weights(cfg, cohort),
-                     reconstructed=None if rec_path is None
-                     else read_rating_csv(rec_path)[1])
-    return outputs.reconstructed, outputs.adjusted
 
 
 def _require_allocatable(cfg: RunConfig, keys: str, *arrays: tuple[int, ...]) -> None:
@@ -173,10 +172,7 @@ def _require_allocatable(cfg: RunConfig, keys: str, *arrays: tuple[int, ...]) ->
 
 def _cmd_reconstruct(args) -> int:
     cfg, out = _load(args)
-    labels, cohort = _read_cohort(cfg)
-    rec_path = cfg.get_path("paths.reconstructed")
-    injected = None if rec_path is None else read_rating_csv(rec_path)[1]
-    artifacts = repair(cohort, _weights(cfg, cohort), reconstructed=injected)
+    artifacts = _repair(cfg)
     files = {
         "reconstructed.csv": artifacts.reconstructed,
         "distance.csv": artifacts.distance,
@@ -184,7 +180,7 @@ def _cmd_reconstruct(args) -> int:
         "uncertainty.csv": artifacts.uncertainty,
     }
     for name, entries in files.items():
-        write_rating_csv(out / name, labels, entries)
+        write_rating_csv(out / name, cfg.labels(), entries)
     _write_summary(out, "reconstruct", cfg, list(files))
     return 0
 
@@ -198,18 +194,18 @@ def _warn_unconverged(command: str, result) -> None:
 
 def _cmd_calibrate_hist(args) -> int:
     cfg, out = _load(args)
-    rec, adj = _read_targets(cfg)
+    targets = _repair(cfg)
     m, grid = cfg.get_count("hist.m", 1000, 1), cfg.grid()
     _require_allocatable(cfg, "hist.m and grid.steps_per_year",
                          (m, grid.steps, n_coords(cfg.k), 8))
     spec = HistCalibrationSpec(
-        target_rec=rec, target_adj=adj, seed=cfg.seed(),
+        target_rec=targets.reconstructed, target_adj=targets.adjusted, seed=cfg.seed(),
         w1=cfg.get_float("hist.w1", 1.0), w2=cfg.get_float("hist.w2", 1.0),
         m=m, grid=grid,
         bound_lo=cfg.get_float("hist.bound_lo", 0.0),
         bound_hi=cfg.get_float("hist.bound_hi", 3.0),
     )
-    result = calibrate_historical(spec, max_iter=cfg.get_int("hist.max_iter", 60))
+    result = calibrate_historical(spec, max_iter=cfg.get_count("hist.max_iter", 60, 1))
     _warn_unconverged("calibrate-hist", result)
     write_params_csv(out / "params.csv", coordinate_labels(cfg.k),
                      result.params.a, result.params.b, result.params.sigma)
@@ -224,9 +220,7 @@ def _cmd_calibrate_hist(args) -> int:
 def _cmd_calibrate_rn(args) -> int:
     cfg, out = _load(args)
     params = _read_params(cfg)
-    pd_labels, pds = read_pd_csv(cfg.get_path("paths.pd_targets", required=True))
-    if len(pd_labels) != cfg.k:
-        raise ValidationError(f"PD targets have {len(pd_labels)} rows, expected {cfg.k}")
+    pds = _read_rated(cfg, "paths.pd_targets", read_pd_csv)
     kind = cfg.get_str("measure.kind", required=True)
     m, grid = cfg.get_count("rn.m", 1000, 1), cfg.grid()
     _require_allocatable(cfg, "rn.m and grid.steps_per_year",
@@ -357,8 +351,7 @@ def _cmd_ssa(args) -> int:
     return 0
 
 
-def _regimes(cfg: RunConfig) -> dict:
-    terms = cfg.csa_terms()
+def _regimes(terms: CsaTerms) -> dict:
     k = terms.k
     return {
         "none": uncollateralized_terms(k, terms.lgd_bank, terms.lgd_cpty,
@@ -374,18 +367,18 @@ def _cmd_xva(args) -> int:
     params = _read_params(cfg)
     grid = cfg.grid()
     m = cfg.get_count("xva.m", 10000, 2)        # the standard errors need two
+    terms = cfg.csa_terms()
+    bank, cpty = cfg.rating("xva.bank_rating", 1), cfg.rating("xva.cpty_rating", 2)
     # posting dates off the grid are rejected before anything is drawn
-    posting_indices(grid, cfg.csa_terms().postings_per_year)
+    posting_indices(grid, terms.postings_per_year)
     _require_allocatable(cfg, "xva.m and grid.steps_per_year", (m, grid.steps + 1, 8))
     portfolio = cfg.portfolio()
     # draw_components holds 13.1 words per component (tracemalloc, n = 10^6)
     _require_allocatable(cfg, "portfolio.n", (portfolio.n + 1, 14, 8))
-    bank = cfg.get_int("xva.bank_rating", 1)
-    cpty = cfg.get_int("xva.cpty_rating", 2)
     paths = simulate_xva_paths(params, cfg.measure(), grid, m, portfolio, cfg.seed(),
                                bank_rating=bank, cpty_rating=cpty)
     _require_finite(paths.v, "portfolio values")
-    results = xva_by_regime(paths, _regimes(cfg))
+    results = xva_by_regime(paths, _regimes(terms))
     for name, r in results.items():
         _require_finite(np.array([r.cva, r.dva, r.bva]), f"{name} CVA/DVA/BVA values")
     lines = ["regime,cva,dva,bva,cva_se,dva_se,bva_se,"

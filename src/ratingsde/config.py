@@ -25,7 +25,7 @@ _KEY_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
 # that no command reads is the only kind rejected as a typo.
 KNOWN_KEYS = frozenset("""
     labels seed checkpoints grid.horizon grid.steps_per_year measure.kind measure.h
-    paths.cohort paths.reconstructed paths.adjusted paths.params paths.pd_targets
+    paths.cohort paths.reconstructed paths.params paths.pd_targets
     weights.kind weights.file hist.m hist.w1 hist.w2 hist.bound_lo hist.bound_hi
     hist.max_iter rn.m sim.m sim.m1 sim.m2 ssa.initial xva.m xva.bank_rating
     xva.cpty_rating csa.thresholds_bank csa.thresholds_cpty csa.lgd_bank
@@ -86,14 +86,22 @@ class RunConfig:
     def get_str(self, key: str, default: str | None = None, required: bool = False):
         return self._raw(key, default, required)
 
-    def get_int(self, key: str, default: int | None = None, required: bool = False):
+    def _parse(self, key: str, default, required: bool, convert, kind: str):
+        """The value of `key` through `convert`, or `default` if unset; a
+        value `convert` rejects or a NaN names the key."""
         raw = self._raw(key, None, required)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = convert(raw)
         except ValueError as exc:
-            raise ValidationError(f"{self.source}: {key} must be an integer, got {raw!r}") from exc
+            raise ValidationError(f"{self.source}: {key} must be {kind}, got {raw!r}") from exc
+        if np.any(value != value):
+            raise ValidationError(f"{self.source}: {key} must not be NaN, got {raw!r}")
+        return value
+
+    def get_int(self, key: str, default: int | None = None, required: bool = False):
+        return self._parse(key, default, required, int, "an integer")
 
     def get_count(self, key: str, default: int, least: int) -> int:
         """An integer count of at least `least`."""
@@ -102,30 +110,21 @@ class RunConfig:
             raise ValidationError(f"{self.source}: {key} must be >= {least}, got {value}")
         return value
 
-    def get_float(self, key: str, default: float | None = None, required: bool = False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ValidationError(f"{self.source}: {key} must be a number, got {raw!r}") from exc
-        if math.isnan(value):
-            raise ValidationError(f"{self.source}: {key} must not be NaN, got {raw!r}")
+    def rating(self, key: str, default: int) -> int:
+        """A 1-based rating in 1..K."""
+        value = self.get_int(key, default)
+        if not 1 <= value <= self.k:
+            raise ValidationError(f"{self.source}: {key} must be in 1..{self.k}, got {value}")
         return value
 
+    def get_float(self, key: str, default: float | None = None, required: bool = False):
+        return self._parse(key, default, required, float, "a number")
+
     def get_floats(self, key: str, default=None, required: bool = False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            values = np.array([float(tok) for tok in raw.split(",") if tok.strip() != ""])
-        except ValueError as exc:
-            raise ValidationError(f"{self.source}: {key} must be a comma-separated "
-                                  f"list of numbers, got {raw!r}") from exc
-        if np.isnan(values).any():
-            raise ValidationError(f"{self.source}: {key} must not be NaN, got {raw!r}")
-        return values
+        return self._parse(key, default, required,
+                           lambda raw: np.array([float(tok) for tok in raw.split(",")
+                                                 if tok.strip() != ""]),
+                           "a comma-separated list of numbers")
 
     def get_path(self, key: str, required: bool = False) -> Path | None:
         raw = self._raw(key, None, required)
@@ -207,9 +206,9 @@ class RunConfig:
             thresholds_cpty=cpty,
             lgd_bank=self.get_float("csa.lgd_bank", 0.6),
             lgd_cpty=self.get_float("csa.lgd_cpty", 0.6),
-            postings_per_year=self.get_int(
+            postings_per_year=self.get_count(
                 "csa.postings_per_year",
-                self.get_int("grid.steps_per_year", DEFAULT_STEPS_PER_YEAR)),
+                self.get_int("grid.steps_per_year", DEFAULT_STEPS_PER_YEAR), 1),
         )
 
     def portfolio(self) -> PortfolioSpec:
@@ -217,7 +216,6 @@ class RunConfig:
             v0=self.get_float("portfolio.v0", 0.0),
             n=self.get_count("portfolio.n", 24, 0),
             sigma_scale=self.get_float("portfolio.sigma_scale", 10.0),
-            horizon=self.get_float("grid.horizon", 1.0),
             seed=self.get_int("portfolio.seed", 0),
         )
 

@@ -32,6 +32,9 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
     exponentiates to the bundle's step factor.
     """
     inc = bundle.increments
+    if inc is None:
+        raise ValidationError("the bundle holds no increments; simulate it with "
+                              "simulate_paths, not simulate_paths_threaded")
     return (inc / bundle.grid.dt).reshape(inc.shape[:2] + (bundle.k - 1,) * 2)
 
 

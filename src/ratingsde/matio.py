@@ -1,11 +1,15 @@
 """CSV readers/writers for rating matrices, SDE parameters and PD targets.
 
-Rating-matrix CSV: header ``from,<label_1>,...,<label_K>`` followed by K
-rows ``<label_l>,v_1,...,v_K``.  A trailing ``w_t`` column (withdrawal
-rates) is accepted on read and ignored; it is never written.  Floats are
-written with 17 significant digits so every file round-trips losslessly;
-a non-finite number is rejected on read.  The `ssa` occupancy files write
-a subset of the rows under the full header.
+Each kind is a table whose first column labels the rows and whose other
+columns hold numbers, read by one reader: blank lines are skipped, each
+row must have as many cells as the header, every number must be finite,
+and an error names the file and the line.  Rating matrices: header
+``from,<label_1>,...,<label_K>`` and K rows ``<label_l>,v_1,...,v_K``; a
+trailing ``w_t`` column (withdrawal rates) is accepted on read and not
+parsed.  Parameters: ``from-to,a,b,sigma``; PD targets: ``rating,pd``.
+Floats are written with 17 significant digits, so files round-trip
+losslessly; the `ssa` occupancy files write a subset of the rows under
+the full header.
 """
 
 from __future__ import annotations
@@ -34,36 +38,45 @@ def _parse_float(token: str, where: str) -> float:
     return value
 
 
-def read_rating_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read a rating-matrix CSV; returns (labels, K x K entries)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+def _read_table(path: str | Path, expected: str, header_ok):
+    """(header, [(line, row label)], numbers) of a CSV table whose first
+    column labels the rows and whose other columns hold numbers.  The
+    lowercased header must pass `header_ok` (`expected` describes it); blank
+    rows are skipped, the others must be as wide as the header, and each
+    error names its line in the file.  A trailing ``w_t`` column is not parsed.
+    """
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, [c.strip() for c in row]) for row in reader]
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 2 or header[0].lower() not in ("from", "from\\to", "from \\ to"):
-        raise ValidationError(f"{path}: line 1: expected header 'from,<labels...>'")
-    labels = header[1:]
-    has_w = labels and labels[-1] == "w_t"
-    if has_w:
-        labels = labels[:-1]
-    k = len(labels)
-    data_rows = [r for r in rows[1:] if r and any(c.strip() for c in r)]
-    if len(data_rows) != k:
-        raise ValidationError(f"{path}: expected {k} data rows, found {len(data_rows)}")
-    entries = np.zeros((k, k))
-    for i, row in enumerate(data_rows, start=2):
-        cells = [c.strip() for c in row]
-        want = 1 + k + (1 if has_w else 0)
-        if len(cells) != want:
-            raise ValidationError(f"{path}: line {i}: expected {want} columns, found {len(cells)}")
-        if cells[0] != labels[i - 2]:
-            raise ValidationError(
-                f"{path}: line {i}: row label {cells[0]!r} does not match header label {labels[i-2]!r}"
-            )
-        for j in range(k):
-            entries[i - 2, j] = _parse_float(cells[1 + j], f"{path}: line {i}, column {j + 2}")
+    header = rows[0][1]
+    if not header_ok([c.lower() for c in header]):
+        raise ValidationError(f"{path}: line 1: expected header {expected!r}")
+    body = [(line, cells) for line, cells in rows[1:] if any(cells)]
+    for line, cells in body:
+        if len(cells) != len(header):
+            raise ValidationError(f"{path}: line {line}: expected {len(header)} "
+                                  f"columns, found {len(cells)}")
+    stop = len(header) - (header[-1] == "w_t")
+    numbers = np.array([[_parse_float(c, f"{path}: line {line}, column {j}")
+                         for j, c in enumerate(cells[1:stop], start=2)]
+                        for line, cells in body]).reshape(len(body), stop - 1)
+    return header, [(line, cells[0]) for line, cells in body], numbers
+
+
+def read_rating_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Read a rating-matrix CSV; returns (labels, K x K entries)."""
+    header, rows, entries = _read_table(
+        path, "from,<labels...>",
+        lambda h: len(h) >= 2 and h[0] in ("from", "from\\to", "from \\ to"))
+    labels = header[1:1 + entries.shape[1]]
+    if len(rows) != len(labels):
+        raise ValidationError(f"{path}: expected {len(labels)} data rows, found {len(rows)}")
+    for (line, label), want in zip(rows, labels):
+        if label != want:
+            raise ValidationError(f"{path}: line {line}: row label {label!r} does "
+                                  f"not match header label {want!r}")
     return labels, entries
 
 
@@ -90,25 +103,9 @@ def read_params_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray
 
     Returns (coordinate labels, a, b, sigma) in file order.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [c.strip().lower() for c in rows[0]]
-    if header[:4] != ["from-to", "a", "b", "sigma"]:
-        raise ValidationError(f"{path}: line 1: expected header 'from-to,a,b,sigma'")
-    labels, a, b, sigma = [], [], [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or not any(c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"{path}: line {i}: expected 4 columns, found {len(row)}")
-        labels.append(row[0].strip())
-        a.append(_parse_float(row[1], f"{path}: line {i}, column 2"))
-        b.append(_parse_float(row[2], f"{path}: line {i}, column 3"))
-        sigma.append(_parse_float(row[3], f"{path}: line {i}, column 4"))
-    return labels, np.array(a), np.array(b), np.array(sigma)
+    _, rows, numbers = _read_table(path, "from-to,a,b,sigma",
+                                   lambda h: h == ["from-to", "a", "b", "sigma"])
+    return [label for _, label in rows], *numbers.T.copy()
 
 
 def write_params_csv(path: str | Path, labels: list[str], a: np.ndarray,
@@ -123,18 +120,5 @@ def write_params_csv(path: str | Path, labels: list[str], a: np.ndarray,
 
 def read_pd_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read default-probability targets: rows ``rating,pd``."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip().lower() for c in rows[0]][:2] != ["rating", "pd"]:
-        raise ValidationError(f"{path}: line 1: expected header 'rating,pd'")
-    labels, pds = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or not any(c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            raise ValidationError(f"{path}: line {i}: expected 2 columns, found {len(row)}")
-        labels.append(row[0].strip())
-        pds.append(_parse_float(row[1], f"{path}: line {i}, column 2"))
-    return labels, np.array(pds)
-
+    _, rows, numbers = _read_table(path, "rating,pd", lambda h: h == ["rating", "pd"])
+    return [label for _, label in rows], numbers[:, 0].copy()

@@ -35,14 +35,13 @@ class PortfolioSpec:
     """Synthetic netting-set mark-to-market driven by n+1 Brownian components.
 
     Component volatilities are sigma_scale times standard-normal draws and
-    lifetimes are uniform on [0, horizon]; component 0 has no lifetime.
-    Both are drawn once from `seed` and shared by all paths.
+    lifetimes are uniform on [0, horizon] of the grid; component 0 has no
+    lifetime.  Both are drawn once from `seed` and shared by all paths.
     """
 
     v0: float = 0.0
     n: int = 24
     sigma_scale: float = 10.0
-    horizon: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -53,8 +52,9 @@ class PortfolioSpec:
         if self.seed < 0:
             raise ValidationError(f"portfolio seed must be nonnegative, got {self.seed}")
 
-    def draw_components(self) -> tuple[np.ndarray, np.ndarray]:
-        """(volatilities including component 0, lifetimes for components 1..n).
+    def draw_components(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+        """(volatilities including component 0, lifetimes on [0, horizon] for
+        components 1..n).
 
         Component i draws both from the Philox counter (i, 0): its
         volatility by Box-Muller from words 0 and 1, its lifetime from word 2.
@@ -63,7 +63,7 @@ class PortfolioSpec:
         u_radius, u_angle, u_life = _counter_uniforms(key, np.arange(self.n + 1), 0,
                                                       words=3)
         z, _ = _box_muller(u_radius, u_angle)
-        return self.sigma_scale * z, self.horizon * u_life[1:]
+        return self.sigma_scale * z, horizon * u_life[1:]
 
 
 def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -> np.ndarray:
@@ -78,7 +78,7 @@ def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -
     t0, t1 = times[:-1], times[1:]
     block = max(1, _VAR_BLOCK // grid.steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigmas, lifetimes = spec.draw_components()
+        sigmas, lifetimes = spec.draw_components(grid.horizon)
         var = np.full(grid.steps, sigmas[0] ** 2 * grid.dt)
         # Components are added in order: the running sum heads each block's
         # rows, which accumulate adds one after another.  float_power squares

@@ -53,6 +53,25 @@ class TestMatIo:
         with pytest.raises(ValidationError, match="line 2, column 3"):
             read_rating_csv(p)
 
+    # a bad value on line 4, after a blank line 3
+    @pytest.mark.parametrize("read, text, column", [
+        (read_rating_csv, "from,A,B\nA,1,0\n\nB,0,nan\n", 3),
+        (read_params_csv, "from-to,a,b,sigma\n1-2,1,1,1\n\n1-3,1,nan,1\n", 3),
+        (read_pd_csv, "rating,pd\nA,0.1\n\nB,nan\n", 2),
+    ])
+    def test_blank_line_keeps_the_line_number(self, tmp_path, read, text, column):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValidationError, match=f"line 4, column {column}"):
+            read(p)
+
+    @pytest.mark.parametrize("read", [read_rating_csv, read_params_csv, read_pd_csv])
+    def test_empty_file_is_named(self, tmp_path, read):
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(ValidationError, match="t.csv: empty file"):
+            read(p)
+
     def test_params_round_trip(self, tmp_path):
         p = tmp_path / "params.csv"
         labels, a, b, s = read_params_csv(data_path("calibrated_params_1y.csv"))
@@ -157,6 +176,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match="checkpoints must list times"):
             cfg.checkpoints()
 
+    def test_readme_example_keys_are_known(self):
+        readme = (SRC_ROOT.parent / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = parse_config_text(example, "README.md").keys()
+        assert "seed" in keys and keys <= KNOWN_KEYS, keys - KNOWN_KEYS
+
     def test_seed_required(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("labels = A,B,C,D\n")
@@ -252,6 +277,43 @@ class TestCliCommands:
         assert res.returncode == 0, res.stderr
         _, adj = read_rating_csv(workdir / "o" / "adjusted.csv")
         assert np.abs(adj - ADJUSTED_PUBLISHED).max() <= PRINT_TOL
+
+    def test_pd_rows_in_another_order_exit_one(self, workdir, capsys):
+        path = workdir / "pd_case1.csv"
+        header, a, b, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, b, a, *rest]) + "\n")
+        cfg = workdir / "run.cfg"
+        assert cli.main(["calibrate-rn", "--config", str(cfg),
+                         "--out", str(workdir / "o")]) == 1
+        assert (f"{cfg}: paths.pd_targets: {path} has labels ['B', 'A', 'C', 'D'], "
+                "expected the configured labels") in capsys.readouterr().err
+        assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["reconstruct", "calibrate-hist"])
+    @pytest.mark.parametrize("key", ["paths.reconstructed", "weights.file"])
+    def test_mislabelled_rating_file_exits_one(self, workdir, capsys, command, key):
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "hist.m = 20\nhist.max_iter = 1\n"
+                       "weights.kind = file\nweights.file = weights.csv\n")
+        write_rating_csv(workdir / "weights.csv", ["A", "B", "C", "D"], np.ones((4, 4)))
+        assert cli.main([command, "--config", str(cfg), "--out", str(workdir / "ok")]) == 0
+        path = workdir / ("reconstructed_1y.csv" if key == "paths.reconstructed"
+                          else "weights.csv")
+        _, entries = read_rating_csv(path)
+        write_rating_csv(path, ["W", "X", "Y", "Z"], entries)
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg), "--out", str(workdir / "o")]) == 1
+        assert (f"{cfg}: {key}: {path} has labels ['W', 'X', 'Y', 'Z']"
+                in capsys.readouterr().err)
+        assert list((workdir / "o").iterdir()) == []
+
+    def test_adjusted_matrix_key_is_unknown(self, workdir, capsys):
+        # the adjusted matrix is always computed from the cohort
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "paths.adjusted = reconstructed_1y.csv\n")
+        assert cli.main(["calibrate-hist", "--config", str(cfg),
+                         "--out", str(workdir / "o")]) == 1
+        assert "unknown key(s) paths.adjusted" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, workdir):
         (workdir / "run.cfg").write_text("seed = 1\npaths.cohort = gone.csv\n")
@@ -575,6 +637,9 @@ class TestCliCommands:
         ("calibrate-hist", "hist.m", 0, 1),
         ("calibrate-rn", "rn.m", -3, 1),
         ("xva", "portfolio.n", -1, 0),
+        ("calibrate-hist", "hist.max_iter", 0, 1),
+        ("calibrate-hist", "hist.max_iter", -1, 1),
+        ("xva", "csa.postings_per_year", 0, 1),
     ])
     def test_too_small_count_names_the_key(self, workdir, monkeypatch, capsys,
                                            command, key, value, least):
@@ -590,6 +655,22 @@ class TestCliCommands:
         assert code == 1
         assert capsys.readouterr().err == (f"ratingsde: validation error: {cfg}: "
                                            f"{key} must be >= {least}, got {value}\n")
+        assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("xva.bank_rating", 0), ("xva.bank_rating", 5), ("xva.cpty_rating", 0)])
+    def test_out_of_range_party_rating_names_the_key(self, workdir, monkeypatch,
+                                                     capsys, key, value):
+        def no_draws(counter, key):
+            raise AssertionError("a draw was made before the ratings were checked")
+
+        monkeypatch.setattr(sde, "_philox4x32", no_draws)
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + f"{key} = {value}\n")
+        code = cli.main(["xva", "--config", str(cfg), "--out", str(workdir / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"ratingsde: validation error: {cfg}: "
+                                           f"{key} must be in 1..4, got {value}\n")
         assert list((workdir / "o").iterdir()) == []
 
     @pytest.mark.parametrize("command, old, new", [

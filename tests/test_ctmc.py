@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        empirical_transition, piecewise_generators,
-                       simulate_paths, simulation_error)
+                       simulate_paths, simulate_paths_threaded, simulation_error)
 from ratingsde import ctmc
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import coeffs_to_matrices, expm_batch
@@ -46,6 +46,14 @@ class TestPiecewiseGenerators:
                                 keep_times=[])
         gens = piecewise_generators(bundle)
         assert np.array_equal(gens, np.zeros((2, 5, 3, 3)))
+
+    def test_bundle_without_increments_is_rejected(self):
+        # the chunk executor drops each chunk's increments
+        params = flat_params(4, 1.0, 0.0, 0.0)
+        bundle = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 5), 3, 0,
+                                         keep_times=[1.0])
+        with pytest.raises(ValidationError, match="holds no increments"):
+            sample_from_bundle(bundle, 2, [1], 0)
 
     def test_constant_rate_k2(self):
         lam = 0.6

@@ -39,8 +39,8 @@ class TestSimulatePortfolio:
     def test_components_draw_on_disjoint_words(self):
         # volatility by Box-Muller from words 0 and 1 of counter (i, 0),
         # lifetime from word 2
-        spec = PortfolioSpec(n=24, sigma_scale=10.0, horizon=2.0, seed=4)
-        sigmas, lifetimes = spec.draw_components()
+        spec = PortfolioSpec(n=24, sigma_scale=10.0, seed=4)
+        sigmas, lifetimes = spec.draw_components(2.0)
         key = _philox_key([4, xva._PORTFOLIO_STATIC_TAG])
         u = _counter_uniforms(key, np.arange(25), 0)
         assert np.array_equal(lifetimes, 2.0 * u[2][1:])
@@ -49,7 +49,7 @@ class TestSimulatePortfolio:
 
     def test_terminal_variance_matches_frozen_components(self):
         spec = PortfolioSpec(n=24, sigma_scale=10.0, seed=4)
-        sigmas, lifetimes = spec.draw_components()
+        sigmas, lifetimes = spec.draw_components(GRID.horizon)
         target = sigmas[0] ** 2 + (sigmas[1:] ** 2 *
                                    np.minimum(lifetimes, 1.0)).sum()
         m = 100000
@@ -71,7 +71,7 @@ class TestSimulatePortfolio:
         spec = PortfolioSpec(v0=1.5, n=3000, sigma_scale=10.0, seed=seed)
         grid = TimeGrid(1.0, steps)
         t0, t1 = grid.times[:-1], grid.times[1:]
-        sigmas, lifetimes = spec.draw_components()
+        sigmas, lifetimes = spec.draw_components(grid.horizon)
         var = np.full(steps, sigmas[0] ** 2 * grid.dt)
         for s, l in zip(sigmas[1:], lifetimes):
             var += s ** 2 * np.maximum(0.0, np.minimum(t1, l) - np.minimum(t0, l))
