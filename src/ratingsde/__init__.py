@@ -19,7 +19,7 @@ from .calibrate import (HistCalibrationSpec, PdTargets, PropertyReport,
                         calibrate_historical, calibrate_risk_neutral,
                         hist_residual, property_report, rn_residual)
 from .ctmc import (NestedPaths, empirical_transition, piecewise_generators,
-                   sample_from_bundle, simulation_error)
+                   sample_from_bundle, simulate_nested_paths, simulation_error)
 from .xva import (CsaTerms, PortfolioSpec, XvaResult, compute_xva,
                   perfect_terms, predefault_distribution, simulate_portfolio,
                   simulate_xva_paths, uncollateralized_terms, xva_by_regime)

@@ -31,12 +31,12 @@ from .calibrate import (HistCalibrationSpec, PdTargets, calibrate_historical,
 from .cohort import (CohortMatrix, RepairOutputs, WeightMatrix, proportional_weights,
                      repair, uniform_weights)
 from .config import RunConfig
-from .ctmc import sample_from_bundle, simulation_error
+from .ctmc import simulate_nested_paths, simulation_error
 from .errors import NumericalError, RatingSdeError, ValidationError
 from .lie import n_coords
 from .matio import (read_params_csv, read_pd_csv, read_rating_csv,
                     write_params_csv, write_rating_csv)
-from .sde import (_CHUNK, _require_finite, mean_matrix, simulate_paths,
+from .sde import (_CHUNK, SdeParams, _require_finite, mean_matrix,
                   simulate_paths_threaded, var_matrix)
 from .svgplot import (_FAN_PATHS, entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
@@ -147,7 +147,7 @@ def _read_params(cfg: RunConfig):
     if labels != expected:
         raise ValidationError(
             f"{path}: coordinate labels {labels} are not the canonical order {expected}")
-    return cfg.sde_params(a, b, sigma)
+    return SdeParams(k=cfg.k, a=a, b=b, sigma=sigma)
 
 
 def _require_allocatable(cfg: RunConfig, keys: str, *arrays: tuple[int, ...]) -> None:
@@ -300,23 +300,21 @@ def _cmd_ssa(args) -> int:
     k = cfg.k
     m1 = cfg.get_count("sim.m1", 100, 1)
     m2 = cfg.get_count("sim.m2", 1000, 1)
-    # the intensities and the per-path arrays
+    # one chunk's increments and the per-trajectory outputs
     _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
-                         (m1, grid.steps, n_coords(k), 8), (m1, m2, 8))
+                         (min(m1, _CHUNK), grid.steps, n_coords(k), 8), (m1, m2, 8),
+                         (m1, grid.steps + 1, k, 8))
     initial = cfg.get_floats("ssa.initial")
     if initial is not None and (
             initial.size == 0 or np.any(initial != np.round(initial))
-            or np.any((initial < 1) | (initial > k))):
-        raise ValidationError(f"{cfg.source}: ssa.initial must list integer "
+            or np.any((initial < 1) | (initial > k))
+            or len(set(initial.tolist())) != initial.size):
+        raise ValidationError(f"{cfg.source}: ssa.initial must list distinct integer "
                               f"ratings in 1..{k}, got {initial.tolist()}")
     i0_list = (list(range(1, k)) if initial is None
                else [int(i) for i in initial])
-    measure = cfg.measure()
-    seed = cfg.seed()
-
-    # one call: the paper's M1 = 100 trajectories fit in one chunk
-    bundle = simulate_paths(params, measure, grid, m1, seed, keep_times=[grid.horizon])
-    nested = sample_from_bundle(bundle, m2, i0_list, seed)
+    bundle, nested = simulate_nested_paths(params, cfg.measure(), grid, m1, m2,
+                                           i0_list, cfg.seed())
     # occupancy frequencies (N+1, K) per initial rating, counted from the jump events
     freqs = {i0: paths.occupancy.sum(0) / (m1 * m2) for i0, paths in nested.items()}
     # the sampled ratings' rows and the absorbing row, in rating order
@@ -332,7 +330,7 @@ def _cmd_ssa(args) -> int:
         write_rating_csv(out / name, labels, emp, rows=rows)
         outputs.append(name)
 
-    err = simulation_error(nested, grid.horizon)
+    err = simulation_error(bundle, nested, grid.horizon)
     for i0, freq in freqs.items():
         name = f"occupancy_{labels[i0 - 1]}.svg"
         (out / name).write_text(

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .lie import n_coords
-from .sde import DEFAULT_STEPS_PER_YEAR, MeasureChange, SdeParams, TimeGrid
+from .sde import DEFAULT_STEPS_PER_YEAR, MeasureChange, TimeGrid
 from .xva import CsaTerms, PortfolioSpec
 
 _KEY_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
@@ -139,6 +138,18 @@ class RunConfig:
 
     # -- assembled domain objects -----------------------------------------
 
+    def _build(self, section: str, cls, **fields):
+        """cls(**fields) from the keys `section.<field>`.  The classes start
+        each error message with the field they reject, so the error is
+        raised again naming this file and that field's key."""
+        try:
+            return cls(**fields)
+        except ValidationError as exc:
+            field, _, rest = str(exc).partition(" ")
+            if field not in fields:
+                raise
+            raise ValidationError(f"{self.source}: {section}.{field} {rest}") from exc
+
     def labels(self) -> list[str]:
         raw = self._raw("labels", "A,B,C,D")
         labels = [tok.strip() for tok in raw.split(",") if tok.strip()]
@@ -174,23 +185,13 @@ class RunConfig:
         return TimeGrid(horizon=horizon, steps=steps)
 
     def measure(self) -> MeasureChange:
-        kind = self.get_str("measure.kind", "historical")
         h = self.get_floats("measure.h")
         if h is None:
             h = np.ones(self.k)
         if h.size != self.k:
             raise ValidationError(f"{self.source}: measure.h must have {self.k} entries")
-        return MeasureChange(kind=kind, h=h)
-
-    def sde_params(self, a: np.ndarray, b: np.ndarray, sigma: np.ndarray) -> SdeParams:
-        k = self.k
-        nc = n_coords(k)
-        for name, arr in (("a", a), ("b", b), ("sigma", sigma)):
-            if arr.shape != (nc,):
-                raise ValidationError(
-                    f"{self.source}: parameter vector {name} has {arr.size} entries, "
-                    f"expected {nc} for K={k}")
-        return SdeParams(k=k, a=a, b=b, sigma=sigma)
+        return self._build("measure", MeasureChange,
+                           kind=self.get_str("measure.kind", "historical"), h=h)
 
     def csa_terms(self) -> CsaTerms:
         k = self.k
@@ -201,7 +202,8 @@ class RunConfig:
             if vec.size != k:
                 raise ValidationError(f"{self.source}: {key} needs one threshold per "
                                       f"rating ({k}), got {vec.size}")
-        return CsaTerms(
+        return self._build(
+            "csa", CsaTerms,
             thresholds_bank=big,
             thresholds_cpty=cpty,
             lgd_bank=self.get_float("csa.lgd_bank", 0.6),
@@ -212,7 +214,8 @@ class RunConfig:
         )
 
     def portfolio(self) -> PortfolioSpec:
-        return PortfolioSpec(
+        return self._build(
+            "portfolio", PortfolioSpec,
             v0=self.get_float("portfolio.v0", 0.0),
             n=self.get_count("portfolio.n", 24, 0),
             sigma_scale=self.get_float("portfolio.sigma_scale", 10.0),

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sde import MatrixPathBundle, TimeGrid, _counter_uniforms, _philox_key
+from .sde import (MatrixPathBundle, MeasureChange, SdeParams, TimeGrid,
+                  _counter_uniforms, _philox_key, simulate_paths_threaded)
 
 _SSA_STREAM_TAG = 0x55A
 
@@ -40,7 +41,7 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
 
 def _ssa_batch(gens: np.ndarray, m2: int, i0: int, grid: TimeGrid,
                key: np.ndarray, path_offset: int = 0,
-               occupancy: np.ndarray | None = None):
+               occupancy: np.ndarray | None = None, out=None):
     """Event-driven SSA: m2 paths from the 1-based rating i0 per sequence.
 
     gens: (G, N, K-1, K-1) intensities as `piecewise_generators` returns
@@ -52,7 +53,8 @@ def _ssa_batch(gens: np.ndarray, m2: int, i0: int, grid: TimeGrid,
     `occupancy` (G, N+1, K), integer, it fills that instead: for each
     sequence g and grid index j, the number of g's paths in each state at
     j, counted from the jump events; states is then empty (P, 0) and the
-    other outputs are the same bits.
+    other outputs are the same bits.  Given `out`, a pair of (P,) arrays,
+    it writes default_time and predefault into them.
     """
     g, n = gens.shape[:2]
     p = g * m2
@@ -72,9 +74,9 @@ def _ssa_batch(gens: np.ndarray, m2: int, i0: int, grid: TimeGrid,
     if occupancy is not None:
         occupancy[...] = 0
         occupancy[:, 0, i0 - 1] = m2
-    # a path that starts absorbed defaults at t = 0
-    def_time = np.full(p, 0.0 if i0 == k else np.nan)
-    predef = np.zeros(p, dtype=np.int8)
+    def_time, predef = (np.empty(p), np.empty(p, np.int8)) if out is None else out
+    def_time[:] = 0.0 if i0 == k else np.nan   # an absorbed start defaults at t = 0
+    predef[:] = 0
 
     # Live paths: state s, interval j and time t of the last event, and
     # h, the integrated hazard H_s at t.
@@ -138,39 +140,55 @@ class NestedPaths:
     default_time: np.ndarray  # (M1, M2), nan = no default before horizon
     predefault: np.ndarray    # (M1, M2), 0 = no default
     occupancy: np.ndarray     # (M1, N+1, K), paths per state, counted per trajectory
-    bundle: MatrixPathBundle | None = None
+
+
+def _nested_outputs(k: int, steps: int, m1: int, m2: int, initial: list[int]):
+    """Unfilled {rating: NestedPaths}, m2 paths per trajectory from each rating."""
+    if min(m1, m2) < 1:
+        raise ValidationError(f"m1 and m2 must be >= 1, got {m1} and {m2}")
+    for i0 in initial:
+        if not 1 <= i0 <= k:
+            raise ValidationError(f"initial rating must be in 1..{k}, got {i0}")
+    return {i0: NestedPaths(m1, m2, np.empty((m1, m2)), np.empty((m1, m2), np.int8),
+                            np.empty((m1, steps + 1, k), np.int64))
+            for i0 in initial}
+
+
+def _sample_chunk(nested: dict, part: MatrixPathBundle, offset: int, seed: int) -> None:
+    """Fill every rating's outputs for the chunk `part` of trajectories
+    offset.. from intensities computed once; each rating draws from its
+    own Philox key, the chunk's path p on counter offset * m2 + p."""
+    gens = piecewise_generators(part)
+    rows = slice(offset, offset + part.m)
+    for i0, paths in nested.items():
+        key = _philox_key([seed, _SSA_STREAM_TAG, i0])
+        # contiguous rows, so the flattened outputs are views
+        _ssa_batch(gens, paths.m2, i0, part.grid, key, offset * paths.m2,
+                   paths.occupancy[rows], (paths.default_time[rows].reshape(-1),
+                                           paths.predefault[rows].reshape(-1)))
+
+
+def simulate_nested_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
+                          m1: int, m2: int, initial: list[int], seed: int
+                          ) -> tuple[MatrixPathBundle, dict[int, NestedPaths]]:
+    """Simulate m1 matrix trajectories, keeping R at the horizon, and sample
+    m2 rating paths on each from every rating in `initial` inside
+    simulate_paths_threaded's each_chunk; returns (bundle, {rating:
+    NestedPaths}), bit for bit sample_from_bundle's on one simulate_paths call."""
+    nested = _nested_outputs(params.k, grid.steps, m1, m2, initial)
+    bundle = simulate_paths_threaded(
+        params, measure, grid, m1, seed, keep_times=[grid.horizon],
+        each_chunk=lambda offset, part: _sample_chunk(nested, part, offset, seed))
+    return bundle, nested
 
 
 def sample_from_bundle(bundle: MatrixPathBundle, m2: int, initial: list[int],
                        seed: int) -> dict[int, NestedPaths]:
-    """SSA-sample m2 paths per matrix trajectory of an existing bundle, for
-    each initial rating in `initial`; returns {rating: NestedPaths}.
-
-    The intensities are computed once and shared by the ratings; each
-    rating draws from its own Philox key.  Keeps the occupancy counts,
-    default times and pre-default ratings, all taken from the jump events;
-    the per-path states are not built.
-    """
-    if m2 < 1:
-        raise ValidationError(f"m2 must be >= 1, got {m2}")
-    for i0 in initial:
-        if not 1 <= i0 <= bundle.k:
-            raise ValidationError(f"initial rating must be in 1..{bundle.k}, got {i0}")
-    gens = piecewise_generators(bundle)
-    m1 = bundle.m
-    nested = {}
-    for i0 in initial:
-        key = _philox_key([seed, _SSA_STREAM_TAG, i0])
-        occupancy = np.empty((m1, bundle.grid.steps + 1, bundle.k), dtype=np.int64)
-        _, dt_, pd_ = _ssa_batch(gens, m2, i0, bundle.grid, key,
-                                 occupancy=occupancy)
-        nested[i0] = NestedPaths(
-            m1=m1, m2=m2,
-            default_time=dt_.reshape(m1, m2),
-            predefault=pd_.reshape(m1, m2),
-            occupancy=occupancy,
-            bundle=bundle,
-        )
+    """SSA-sample m2 paths per trajectory of a bundle that holds its
+    increments, from each rating in `initial`; returns {rating: NestedPaths},
+    all taken from the jump events, with no per-path states built."""
+    nested = _nested_outputs(bundle.k, bundle.grid.steps, bundle.m, m2, initial)
+    _sample_chunk(nested, bundle, 0, seed)
     return nested
 
 
@@ -193,27 +211,23 @@ def empirical_transition(states_by_i0: dict[int, np.ndarray], t: float,
     return out, present
 
 
-def simulation_error(nested_by_i0: dict[int, NestedPaths], t: float) -> float:
+def simulation_error(bundle: MatrixPathBundle, nested_by_i0: dict[int, NestedPaths],
+                     t: float) -> float:
     """Mean over matrix trajectories of ||R_model - R_empirical||_F / (rows K).
 
-    The norm runs over the sampled initial ratings' rows plus the absorbing
-    row, which is filled in exactly if not sampled.  All collections must
-    share one bundle (same matrix trajectories).
+    The paths must have been sampled on the bundle's trajectories.  The
+    norm runs over the sampled initial ratings' rows plus the absorbing
+    row, which is filled in exactly if not sampled.
     """
-    any_np = next(iter(nested_by_i0.values()))
-    bundle = any_np.bundle
-    if bundle is None:
-        raise ValidationError("nested paths carry no model bundle")
-    k = bundle.k
+    k, m1 = bundle.k, bundle.m
     idx = bundle.grid.index_of(t)
-    m1 = any_np.m1
     model = bundle.matrices_at(t)                   # (M1, K, K)
 
     emp = np.zeros((m1, k, k))
     filled = np.zeros(k, dtype=bool)
     for i0, npaths in nested_by_i0.items():
-        if npaths.bundle is not bundle or npaths.m1 != m1:
-            raise ValidationError("collections must share the same matrix trajectories")
+        if npaths.m1 != m1:
+            raise ValidationError(f"{npaths.m1} trajectories of paths, {m1} in the bundle")
         emp[:, i0 - 1, :] = npaths.occupancy[:, idx] / npaths.m2
         filled[i0 - 1] = True
     if not filled[k - 1]:

@@ -129,9 +129,11 @@ class MeasureChange:
             if h.ndim != 1:
                 raise ValidationError("h must be a vector")
             if h[-1] != 1.0:
-                raise ValidationError(f"h_K must equal 1, got {h[-1]}")
+                raise ValidationError(f"h must end in 1, the absorbing rating's pinned "
+                                      f"entry, got {h[-1]}")
             if self.kind == "exponential" and np.any(h == 0.0):
-                raise ValidationError("exponential measure change requires h_i != 0")
+                raise ValidationError(f"h must have no zero entry under the exponential "
+                                      f"kind, got {h.tolist()}")
         elif self.kind != "historical":
             raise ValidationError(f"kind {self.kind!r} requires an h vector")
 

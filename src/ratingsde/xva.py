@@ -48,9 +48,9 @@ class PortfolioSpec:
         if self.n < 0:
             raise ValidationError(f"cash-flow count must be >= 0, got {self.n}")
         if self.sigma_scale < 0:
-            raise ValidationError("sigma_scale must be nonnegative")
+            raise ValidationError(f"sigma_scale must be nonnegative, got {self.sigma_scale}")
         if self.seed < 0:
-            raise ValidationError(f"portfolio seed must be nonnegative, got {self.seed}")
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     def draw_components(self, horizon: float) -> tuple[np.ndarray, np.ndarray]:
         """(volatilities including component 0, lifetimes on [0, horizon] for
@@ -116,12 +116,12 @@ class CsaTerms:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             if arr.ndim != 1 or np.any(arr < 0):
-                raise ValidationError(f"{name} must be a nonnegative vector")
+                raise ValidationError(f"{name} must be a nonnegative vector, got {arr.tolist()}")
         if self.thresholds_bank.shape != self.thresholds_cpty.shape:
             raise ValidationError("threshold vectors must have equal length")
-        for lgd in (self.lgd_bank, self.lgd_cpty):
-            if not 0.0 <= lgd <= 1.0:
-                raise ValidationError("LGDs must lie in [0, 1]")
+        for name in ("lgd_bank", "lgd_cpty"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.postings_per_year < 1:
             raise ValidationError("postings_per_year must be >= 1")
 
@@ -143,12 +143,14 @@ def perfect_terms(k: int, lgd_bank: float = 0.6, lgd_cpty: float = 0.6,
 
 
 def posting_indices(grid: TimeGrid, postings_per_year: int) -> np.ndarray:
-    """Grid indices of the posting dates (including t=0); must align exactly."""
+    """Grid indices of the posting dates j / postings_per_year within the
+    horizon (including t=0); they must align exactly."""
     # postings finer than the grid cannot align; checked first, since a
     # huge count would not fit in a float or an array below
     aligned = postings_per_year <= grid.steps / grid.horizon + 1e-9
     if aligned:
-        n_post = round(grid.horizon * postings_per_year)
+        # the dates stop at the last one within the horizon
+        n_post = int((grid.horizon + 1e-9) * postings_per_year)
         t_post = np.arange(n_post + 1) / postings_per_year
         idx = np.rint(t_post / grid.dt).astype(np.int64)
         aligned = np.abs(idx * grid.dt - t_post).max() <= 1e-9 and idx.max() <= grid.steps

@@ -18,7 +18,7 @@ from ratingsde import (HISTORICAL, CohortMatrix, CsaTerms, MeasureChange,
                        calibrate_risk_neutral, distance_matrix,
                        girsanov_density, kappa_from_h, mean_matrix,
                        perfect_terms, predefault_distribution, property_report,
-                       reconstruct, repair, sample_from_bundle, simulate_paths,
+                       reconstruct, repair, simulate_nested_paths,
                        simulate_paths_threaded, simulate_xva_paths,
                        simulation_error, uncollateralized_terms,
                        uniform_weights, xva_by_regime)
@@ -59,10 +59,10 @@ def bundle_1000(calibrated_params):
 
 @pytest.fixture(scope="module")
 def nested_p(calibrated_params):
-    """One shared 100-trajectory bundle, 1000 SSA paths per initial rating."""
-    bundle = simulate_paths(calibrated_params, HISTORICAL, GRID_FINE, 100,
-                            SEED, keep_times=[1.0])
-    return sample_from_bundle(bundle, 1000, [1, 2, 3], SEED)
+    """One shared 100-trajectory bundle, 1000 SSA paths per initial rating:
+    (bundle, {rating: NestedPaths})."""
+    return simulate_nested_paths(calibrated_params, HISTORICAL, GRID_FINE, 100,
+                                 1000, [1, 2, 3], SEED)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ def test_criterion_07_ssa_oracle(nested_p):
         z = np.abs(freq - target[i0 - 1]) / np.maximum(se, 1e-12)
         worst_z = max(worst_z, z.max())
 
-    err = simulation_error(nested_p, 1.0)
+    err = simulation_error(*nested_p, 1.0)
     ok = worst_z <= 3.0 and err <= 0.01
     _verdict(7, ok, f"constant-generator frequencies within {worst_z:.2f} "
                     f"binomial SE (limit 3); nested M1=100, M2=1000 "
@@ -229,13 +229,12 @@ def test_criterion_09_xva_structure(calibrated_params):
 def test_criterion_10_predefault_distribution(calibrated_params, nested_p,
                                               case2_exponential):
     dist_p = predefault_distribution(
-        {i0: n.predefault for i0, n in nested_p.items()}, 4)
+        {i0: n.predefault for i0, n in nested_p[1].items()}, 4)
     modal_p = int(np.argmax(dist_p.matrix.sum(axis=0))) + 1
 
     measure_q = MeasureChange(kind="exponential", h=case2_exponential.h)
-    bundle_q = simulate_paths(calibrated_params, measure_q, GRID_FINE, 100,
-                              SEED, keep_times=[])
-    nested_q = sample_from_bundle(bundle_q, 1000, [1, 2, 3], SEED)
+    _, nested_q = simulate_nested_paths(calibrated_params, measure_q, GRID_FINE, 100,
+                                        1000, [1, 2, 3], SEED)
     dist_q = predefault_distribution(
         {i0: n.predefault for i0, n in nested_q.items()}, 4)
 

@@ -9,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,47 +341,91 @@ class TestCliCommands:
         _, mean = read_rating_csv(workdir / "s" / "mean_t1.csv")
         assert np.abs(mean.sum(axis=1) - 1.0).max() <= 1e-9
 
-    def test_simulate_artifacts_do_not_depend_on_the_chunk_size(self, workdir,
-                                                                monkeypatch):
-        # 300 trajectories x 12 steps; with chunks of 7 the 50 fan paths
-        # span 8 chunks, with chunks of 1000 everything is one chunk
-        cfg = workdir / "run.cfg"
-        cfg.write_text(cfg.read_text()
-                       .replace("grid.steps_per_year = 24", "grid.steps_per_year = 12")
-                       .replace("sim.m = 40", "sim.m = 300"))
-        artifacts = {}
-        for chunk in (7, 1000):
-            monkeypatch.setattr(sde, "_CHUNK", chunk)
-            out = workdir / f"chunk{chunk}"
-            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-            artifacts[chunk] = {p.name: p.read_bytes() for p in out.iterdir()}
+    @pytest.mark.parametrize("command, edits, chunks, names", [
+        # 300 trajectories x 12 steps: the 50 fan paths span 8 chunks of 7;
         # mean and var at 3 checkpoints, the property report, 2 SVGs, the summary
-        assert len(artifacts[7]) == 10
-        assert artifacts[7] == artifacts[1000]
-
-    def test_xva_artifacts_do_not_depend_on_the_chunk_size(self, workdir,
-                                                           monkeypatch):
-        # 60 scenarios: 9 chunks of <= 7, or one chunk of 1000; the bank
-        # starts at rating C, so some paths default and the rating paths
-        # reach the report
+        ("simulate", {"grid.steps_per_year = 24": "grid.steps_per_year = 12",
+                      "sim.m = 40": "sim.m = 300"}, 43,
+         ["histograms.svg", "mean_t0.25.csv", "mean_t0.5.csv", "mean_t1.csv",
+          "property_report.csv", "run_summary.json", "trajectories.svg",
+          "var_t0.25.csv", "var_t0.5.csv", "var_t1.csv"]),
+        # 30 trajectories of 40 paths from each of A, B and C; occupancy at 3
+        # checkpoints, 3 occupancy SVGs, the pre-default CSV and SVG, the summary
+        ("ssa", {"sim.m1 = 10": "sim.m1 = 30"}, 5,
+         ["occupancy_A.svg", "occupancy_B.svg", "occupancy_C.svg",
+          "occupancy_t0.25.csv", "occupancy_t0.5.csv", "occupancy_t1.csv",
+          "predefault.csv", "predefault.svg", "run_summary.json"]),
+        # 60 scenarios; the bank starts at rating C, so some paths default and
+        # the rating paths reach the report
+        ("xva", {"xva.m = 60": "xva.m = 60\nxva.bank_rating = 3"}, 9,
+         ["predefault.csv", "run_summary.json", "xva_report.csv"]),
+    ])
+    def test_artifacts_do_not_depend_on_the_chunk_size(self, workdir, monkeypatch,
+                                                       command, edits, chunks, names):
         cfg = workdir / "run.cfg"
-        cfg.write_text(cfg.read_text() + "xva.bank_rating = 3\n")
-        simulate, chunks = sde.simulate_paths, []
+        text = cfg.read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg.write_text(text)
+        simulate, calls = sde.simulate_paths, []
         monkeypatch.setattr(sde, "simulate_paths",
-                            lambda *a, **kw: chunks.append(1) or simulate(*a, **kw))
+                            lambda *a, **kw: calls.append(1) or simulate(*a, **kw))
         artifacts, counts = {}, []
         for chunk in (7, 1000):
             monkeypatch.setattr(sde, "_CHUNK", chunk)
-            chunks.clear()
+            calls.clear()
             out = workdir / f"chunk{chunk}"
-            assert cli.main(["xva", "--config", str(cfg), "--out", str(out)]) == 0
-            counts.append(len(chunks))
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            counts.append(len(calls))
             artifacts[chunk] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert counts == [9, 1]
-        assert sorted(artifacts[7]) == ["predefault.csv", "run_summary.json",
-                                        "xva_report.csv"]
-        assert json.loads(artifacts[7]["run_summary.json"])["total_defaults"] > 0
+        assert counts == [chunks, 1]
+        assert sorted(artifacts[7]) == names
+        if command != "simulate":
+            # the sampled rating paths default, so their draws reach the artifacts
+            assert json.loads(artifacts[7]["run_summary.json"])["total_defaults"] > 0
         assert artifacts[7] == artifacts[1000]
+
+    @pytest.mark.parametrize("command", ["simulate", "ssa", "xva"])
+    def test_every_command_simulates_in_chunks(self, workdir, monkeypatch, command):
+        # with chunks of 7, no call simulates more trajectories, whichever
+        # module it is made from
+        simulate, sizes = sde.simulate_paths, []
+
+        def recording(*args, **kwargs):
+            bundle = simulate(*args, **kwargs)
+            sizes.append(bundle.m)
+            return bundle
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "ratingsde"
+                    and getattr(module, "simulate_paths", None) is simulate):
+                monkeypatch.setattr(module, "simulate_paths", recording)
+        monkeypatch.setattr(sde, "_CHUNK", 7)
+        assert cli.main([command, "--config", str(workdir / "run.cfg"),
+                         "--out", str(workdir / "o")]) == 0
+        assert sizes and max(sizes) <= 7, sizes
+
+    def test_ssa_peak_memory_grows_with_its_outputs_only(self, workdir):
+        # trajectories are simulated and sampled one chunk of 256 at a time,
+        # so from 256 to 1000 trajectories the peak grows by little more
+        # than the per-trajectory outputs: for each of the ratings A, B and
+        # C, m2 default times (8 bytes) and pre-default ratings (1 byte) and
+        # the (N+1, K) int64 occupancy; and R at the horizon
+        m2, steps, k = 100, 24, 4
+        per_trajectory = 3 * (9 * m2 + (steps + 1) * k * 8) + k * k * 8
+        cfg = workdir / "run.cfg"
+        text = cfg.read_text().replace("sim.m2 = 40", f"sim.m2 = {m2}")
+        peaks = []
+        for m1 in (256, 256, 1000):                 # the first run warms up
+            cfg.write_text(text.replace("sim.m1 = 10", f"sim.m1 = {m1}"))
+            tracemalloc.start()
+            try:
+                assert cli.main(["ssa", "--config", str(cfg),
+                                 "--out", str(workdir / "o")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] <= 1.25 * (1000 - 256) * per_trajectory, peaks
 
     def test_xva_counts_both_parties_at_one_rating(self, workdir):
         cfg = workdir / "run.cfg"
@@ -527,6 +572,30 @@ class TestCliCommands:
         assert "validation error" in res.stderr
         assert new.split(" = ")[0] in res.stderr
         assert "Traceback" not in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("xva", None, "csa.lgd_bank = 2"),
+        ("xva", None, "csa.lgd_cpty = -0.5"),
+        ("xva", None, "csa.thresholds_bank = -1,0,0,0"),
+        ("xva", None, "csa.thresholds_cpty = 0,0,-1,0"),
+        ("xva", None, "portfolio.sigma_scale = -1"),
+        ("xva", None, "portfolio.seed = -1"),
+        ("simulate", "measure.kind = historical", "measure.kind = foo"),
+        ("simulate", None, "measure.h = 1,1,1,2"),
+        ("simulate", "measure.kind = historical",
+         "measure.kind = exponential\nmeasure.h = 1,0,1,1"),
+        ("ssa", None, "ssa.initial = 2,2"),
+    ])
+    def test_rejected_config_value_names_the_file_and_key(self, workdir, capsys,
+                                                          command, old, new):
+        cfg = workdir / "run.cfg"
+        text = cfg.read_text()
+        cfg.write_text(text.replace(old, new) if old else text + new + "\n")
+        key = new.splitlines()[-1].split(" = ")[0]
+        code = cli.main([command, "--config", str(cfg), "--out", str(workdir / "o")])
+        assert code == 1
+        assert f"ratingsde: validation error: {cfg}: {key} " in capsys.readouterr().err
         assert list((workdir / "o").iterdir()) == []
 
     def test_calibrate_rn_non_finite_start_exits_two(self, workdir):

@@ -9,8 +9,9 @@ from scipy.linalg import expm
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        empirical_transition, piecewise_generators,
-                       simulate_paths, simulate_paths_threaded, simulation_error)
-from ratingsde import ctmc
+                       simulate_nested_paths, simulate_paths, simulate_paths_threaded,
+                       simulation_error)
+from ratingsde import ctmc, sde
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 from ratingsde.sde import _philox_key
@@ -26,9 +27,7 @@ def flat_params(k, a, b, sigma):
 
 def nested_simulate(params, grid, m1, m2, i0, seed):
     """m2 rating paths from i0 on each of m1 matrix trajectories, as `ssa` runs."""
-    bundle = simulate_paths(params, HISTORICAL, grid, m1, seed,
-                            keep_times=[grid.horizon])
-    return sample_from_bundle(bundle, m2, [i0], seed)[i0]
+    return simulate_nested_paths(params, HISTORICAL, grid, m1, m2, [i0], seed)[1][i0]
 
 
 CONST_GEN = np.array([
@@ -376,6 +375,27 @@ class TestNestedSimulate:
         defaulted = ~np.isnan(nested.default_time)
         assert np.all((nested.predefault > 0) == defaulted)
 
+    @pytest.mark.parametrize("m1, m2", [(-1, 5), (0, 5), (3, 0)])
+    def test_path_counts_must_be_positive(self, calibrated_params, m1, m2):
+        with pytest.raises(ValidationError, match="m1 and m2 must be >= 1"):
+            nested_simulate(calibrated_params, TimeGrid(1.0, 4), m1, m2, 1, 0)
+
+    def test_chunked_sampling_equals_one_call(self, calibrated_params, monkeypatch):
+        # 20 trajectories in chunks of 7: every output equals, bit for bit,
+        # sampling the bundle of one simulate_paths call
+        grid = TimeGrid(1.0, 12)
+        monkeypatch.setattr(sde, "_CHUNK", 7)
+        bundle, nested = simulate_nested_paths(calibrated_params, HISTORICAL, grid,
+                                               20, 30, [1, 2, 3], 4)
+        whole = simulate_paths(calibrated_params, HISTORICAL, grid, 20, 4,
+                               keep_times=[1.0])
+        assert np.array_equal(bundle.matrices, whole.matrices)
+        for i0, expect in sample_from_bundle(whole, 30, [1, 2, 3], 4).items():
+            for name in ("default_time", "predefault", "occupancy"):
+                assert np.array_equal(getattr(nested[i0], name), getattr(expect, name),
+                                      equal_nan=True), (i0, name)
+        assert (nested[3].predefault > 0).any()          # some paths default
+
 
 class TestEmpiricalTransition:
     def test_frozen_chain_gives_identity_rows(self):
@@ -405,7 +425,7 @@ class TestEmpiricalTransition:
         bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0,
                                 keep_times=[1.0])
         nested = sample_from_bundle(bundle, 10, [1, 2, 3], 0)
-        assert simulation_error(nested, 1.0) <= 1e-12
+        assert simulation_error(bundle, nested, 1.0) <= 1e-12
 
     def test_simulation_error_over_sampled_rows(self, calibrated_params):
         # one sampled rating: the norm covers its row and the exact absorbing
@@ -420,12 +440,16 @@ class TestEmpiricalTransition:
         emp[:, 1, 3] = 1.0
         model = bundle.matrices_at(1.0)[:, [1, 3]]
         expect = np.linalg.norm(model - emp, axis=(1, 2)).mean() / 8
-        assert np.isclose(simulation_error({2: nested}, 1.0), expect,
+        assert np.isclose(simulation_error(bundle, {2: nested}, 1.0), expect,
                           rtol=1e-12, atol=0)
 
-    def test_simulation_error_requires_shared_bundle(self, calibrated_params):
+    def test_simulation_error_requires_the_bundle_trajectory_count(self,
+                                                                   calibrated_params):
         grid = TimeGrid(1.0, 5)
-        n1 = nested_simulate(calibrated_params, grid, 2, 5, 1, 0)
-        n2 = nested_simulate(calibrated_params, grid, 2, 5, 2, 1)
-        with pytest.raises(ValidationError):
-            simulation_error({1: n1, 2: n2}, 1.0)
+        bundle, nested = simulate_nested_paths(calibrated_params, HISTORICAL, grid,
+                                               2, 5, [1, 2], 0)
+        other = simulate_paths(calibrated_params, HISTORICAL, grid, 3, 0,
+                               keep_times=[1.0])
+        assert simulation_error(bundle, nested, 1.0) > 0
+        with pytest.raises(ValidationError, match="2 trajectories of paths, 3 in"):
+            simulation_error(other, nested, 1.0)

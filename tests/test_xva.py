@@ -10,6 +10,7 @@ from ratingsde import (HISTORICAL, CsaTerms, PortfolioSpec, TimeGrid,
                        uncollateralized_terms, xva_by_regime)
 from ratingsde import sde, xva
 from ratingsde.sde import _counter_normals, _counter_uniforms, _philox_key
+from ratingsde.xva import posting_indices
 
 
 GRID = TimeGrid(1.0, 12)
@@ -171,6 +172,13 @@ class TestCollateralPath:
             with pytest.raises(ValidationError, match="not a subset of the grid"):
                 compute_xva(*_hand_paths(), t, GRID)
 
+
+    def test_postings_stop_at_the_last_date_within_the_horizon(self):
+        # 0.55 and 1.05 years are no whole number of monthly periods; every
+        # monthly date up to the horizon is a grid point
+        for horizon, steps, n_post in ((0.55, 66, 6), (1.05, 126, 12)):
+            idx = posting_indices(TimeGrid(horizon, steps), 12)
+            assert np.array_equal(idx, 10 * np.arange(n_post + 1))
 
 class TestComputeXva:
     def test_hand_computed_uncollateralized(self):
