@@ -2,9 +2,10 @@
 
 Subcommands: reconstruct, calibrate-hist, calibrate-rn, simulate, ssa,
 xva, report.  Global flags: --config PATH, --seed N (overrides config),
---out DIR, --threads N (accepted for compatibility, no effect: every
-command runs on one thread, since 2 workers were slower than 1).  Exit
-codes: 0 success, 1 validation, 2 numerical failure, 3 I/O.
+--out DIR, --threads N (simulate, ssa and xva run their chunks of 256
+matrix trajectories on up to N worker threads, at most one per chunk and
+per core; no output depends on N).  Exit codes: 0 success, 1 validation,
+2 numerical failure, 3 I/O.
 
 All outputs are deterministic functions of (config, seed); wall-clock
 timings and non-convergence warnings go to stderr only so reruns are
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrate import (HistCalibrationSpec, PdTargets, calibrate_historical,
+from .calibrate import (RN_BOUNDS, HistCalibrationSpec, PdTargets, calibrate_historical,
                         calibrate_risk_neutral, coordinate_labels,
                         property_report)
 from .cohort import (CohortMatrix, RepairOutputs, WeightMatrix, proportional_weights,
@@ -36,7 +37,7 @@ from .errors import NumericalError, RatingSdeError, ValidationError
 from .lie import n_coords
 from .matio import (read_params_csv, read_pd_csv, read_rating_csv,
                     write_params_csv, write_rating_csv)
-from .sde import (_CHUNK, SdeParams, _require_finite, mean_matrix,
+from .sde import (SdeParams, _chunk_buffers, _require_finite, mean_matrix,
                   simulate_paths_threaded, var_matrix)
 from .svgplot import (_FAN_PATHS, entry_histograms, occupancy_plot, predefault_bars,
                       trajectory_fans)
@@ -72,9 +73,21 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
+        p.add_argument("--threads", type=_thread_count, default=1,
+                       help="worker threads for the trajectory chunks of simulate, "
+                            "ssa and xva (at most one per chunk and per core; "
+                            "outputs do not depend on it)")
     return parser
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load(args) -> tuple[RunConfig, Path]:
@@ -225,6 +238,9 @@ def _cmd_calibrate_rn(args) -> int:
     m, grid = cfg.get_count("rn.m", 1000, 1), cfg.grid()
     _require_allocatable(cfg, "rn.m and grid.steps_per_year",
                          (m, grid.steps, n_coords(cfg.k), 8))
+    if kind not in RN_BOUNDS:
+        raise ValidationError(f"{cfg.source}: measure.kind must be one of "
+                              f"{tuple(RN_BOUNDS)} for calibrate-rn, got {kind!r}")
     result = calibrate_risk_neutral(params, kind, PdTargets(pds), grid=grid,
                                     m=m, seed=cfg.seed())
     _warn_unconverged("calibrate-rn", result)
@@ -253,13 +269,14 @@ def _cmd_simulate(args) -> int:
     checkpoints = [float(t) for t in cfg.checkpoints()]
     # the histograms read R_T, the fans every R_k of the leading paths
     keep_times = checkpoints + [grid.horizon]
-    # the kept matrices, the fans' matrix paths and one chunk's increments
+    # the kept matrices, the fans' matrix paths and the workers' chunk buffers
     _require_allocatable(cfg, "sim.m and grid.steps_per_year",
                          (m, len(keep_times), k, k, 8),
                          (min(m, _FAN_PATHS), grid.steps + 1, k, k, 8),
-                         (min(m, _CHUNK), grid.steps, n_coords(k), 8))
+                         (*_chunk_buffers(m, args.threads, grid.steps, k), 8))
     bundle = simulate_paths_threaded(params, cfg.measure(), grid, m, cfg.seed(),
-                                     keep_times=keep_times, keep_paths=_FAN_PATHS)
+                                     keep_times=keep_times, keep_paths=_FAN_PATHS,
+                                     threads=args.threads)
     labels = cfg.labels()
     outputs = []
     for t in checkpoints:
@@ -300,9 +317,10 @@ def _cmd_ssa(args) -> int:
     k = cfg.k
     m1 = cfg.get_count("sim.m1", 100, 1)
     m2 = cfg.get_count("sim.m2", 1000, 1)
-    # one chunk's increments and the per-trajectory outputs
+    # the workers' chunk buffers and the per-trajectory outputs
     _require_allocatable(cfg, "sim.m1, sim.m2 and grid.steps_per_year",
-                         (min(m1, _CHUNK), grid.steps, n_coords(k), 8), (m1, m2, 8),
+                         (*_chunk_buffers(m1, args.threads, grid.steps, k), 8),
+                         (m1, m2, 8),
                          (m1, grid.steps + 1, k, 8))
     initial = cfg.get_floats("ssa.initial")
     if initial is not None and (
@@ -314,7 +332,7 @@ def _cmd_ssa(args) -> int:
     i0_list = (list(range(1, k)) if initial is None
                else [int(i) for i in initial])
     bundle, nested = simulate_nested_paths(params, cfg.measure(), grid, m1, m2,
-                                           i0_list, cfg.seed())
+                                           i0_list, cfg.seed(), threads=args.threads)
     # occupancy frequencies (N+1, K) per initial rating, counted from the jump events
     freqs = {i0: paths.occupancy.sum(0) / (m1 * m2) for i0, paths in nested.items()}
     # the sampled ratings' rows and the absorbing row, in rating order
@@ -369,12 +387,13 @@ def _cmd_xva(args) -> int:
     bank, cpty = cfg.rating("xva.bank_rating", 1), cfg.rating("xva.cpty_rating", 2)
     # posting dates off the grid are rejected before anything is drawn
     posting_indices(grid, terms.postings_per_year)
-    _require_allocatable(cfg, "xva.m and grid.steps_per_year", (m, grid.steps + 1, 8))
+    _require_allocatable(cfg, "xva.m and grid.steps_per_year", (m, grid.steps + 1, 8),
+                         (*_chunk_buffers(m, args.threads, grid.steps, cfg.k), 8))
     portfolio = cfg.portfolio()
     # draw_components holds 13.1 words per component (tracemalloc, n = 10^6)
     _require_allocatable(cfg, "portfolio.n", (portfolio.n + 1, 14, 8))
     paths = simulate_xva_paths(params, cfg.measure(), grid, m, portfolio, cfg.seed(),
-                               bank_rating=bank, cpty_rating=cpty)
+                               bank_rating=bank, cpty_rating=cpty, threads=args.threads)
     _require_finite(paths.v, "portfolio values")
     results = xva_by_regime(paths, _regimes(terms))
     for name, r in results.items():

@@ -169,15 +169,17 @@ def _sample_chunk(nested: dict, part: MatrixPathBundle, offset: int, seed: int) 
 
 
 def simulate_nested_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                          m1: int, m2: int, initial: list[int], seed: int
+                          m1: int, m2: int, initial: list[int], seed: int,
+                          threads: int = 1
                           ) -> tuple[MatrixPathBundle, dict[int, NestedPaths]]:
     """Simulate m1 matrix trajectories, keeping R at the horizon, and sample
     m2 rating paths on each from every rating in `initial` inside
-    simulate_paths_threaded's each_chunk; returns (bundle, {rating:
-    NestedPaths}), bit for bit sample_from_bundle's on one simulate_paths call."""
+    simulate_paths_threaded's each_chunk, on up to `threads` threads;
+    returns (bundle, {rating: NestedPaths}), bit for bit
+    sample_from_bundle's on one simulate_paths call."""
     nested = _nested_outputs(params.k, grid.steps, m1, m2, initial)
     bundle = simulate_paths_threaded(
-        params, measure, grid, m1, seed, keep_times=[grid.horizon],
+        params, measure, grid, m1, seed, keep_times=[grid.horizon], threads=threads,
         each_chunk=lambda offset, part: _sample_chunk(nested, part, offset, seed))
     return bundle, nested
 

@@ -99,12 +99,18 @@ def write_rating_csv(path: str | Path, labels: list[str], entries: np.ndarray,
 
 
 def read_params_csv(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Read SDE parameters: rows ``from-to,a,b,sigma``.
+    """Read SDE parameters: rows ``from-to,a,b,sigma``, each nonnegative.
 
     Returns (coordinate labels, a, b, sigma) in file order.
     """
     _, rows, numbers = _read_table(path, "from-to,a,b,sigma",
                                    lambda h: h == ["from-to", "a", "b", "sigma"])
+    negative = np.argwhere(numbers < 0)
+    if negative.size:
+        i, j = negative[0]
+        raise ValidationError(f"{path}: line {rows[i][0]}, column {j + 2}: "
+                              f"{('a', 'b', 'sigma')[j]} must be nonnegative, "
+                              f"got {float(numbers[i, j])!r}")
     return [label for _, label in rows], *numbers.T.copy()
 
 

@@ -21,7 +21,9 @@ depend on the batch size, the chunking or the number of steps drawn.
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,29 +247,45 @@ def _counter_uniforms(key, index: np.ndarray, event: int | np.ndarray,
     return tuple((x + 0.5) * 2.0 ** -32 for x in _philox4x32(counter, key)[:words])
 
 
-def _box_muller(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent standard normals r cos(2 pi u_angle), r sin(2 pi u_angle),
-    with r = sqrt(-2 ln u_radius), from uniforms on the open interval (0, 1)."""
-    r = np.sqrt(-2.0 * np.log(u_radius))
-    angle = 2.0 * np.pi * u_angle
-    return r * np.cos(angle), r * np.sin(angle)
+def _polar(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller's radius r = sqrt(-2 ln u_radius) and angle 2 pi u_angle,
+    from uniforms on the open interval (0, 1), written over the uniforms;
+    r cos(angle) and r sin(angle) are two independent standard normals."""
+    np.log(u_radius, out=u_radius)
+    u_radius *= -2.0
+    np.sqrt(u_radius, out=u_radius)
+    u_angle *= 2.0 * np.pi
+    return u_radius, u_angle
 
 
-def _counter_normals(key, index: np.ndarray, steps: int) -> np.ndarray:
+# Trajectory rows per batch of counters in _counter_normals.  Each
+# executor worker holds one batch's Philox words and uniforms beside its
+# chunk buffer: at 120 steps, 2 workers of 128 rows peaked 3 MB higher in
+# RSS than of 64, and 32 rows were slower.
+_NOISE_ROWS = 64
+
+
+def _counter_normals(key, index: np.ndarray, steps: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals z[p, j, c] for stream index[p, c] and step j.
 
-    index: (P, C) counter indices; returns (P, steps, C).  Step j is word
-    j % 4 of the counter (index, j // 4); words (0, 1) and (2, 3) are each
-    mapped by Box-Muller, so a step's draw does not depend on how many
-    steps are drawn.
+    index: (P, C) counter indices; returns (P, steps, C), written into
+    `out` if given.  Step j is word j % 4 of the counter (index, j // 4);
+    words (0, 1) and (2, 3) are each mapped by Box-Muller, so a step's draw
+    does not depend on how many steps are drawn.  The draws are made
+    _NOISE_ROWS rows of index at a time, straight into the output.
     """
     p, c = index.shape
-    z = np.empty((p, steps, c))
-    u = _counter_uniforms(key, index[:, None, :],
-                          np.arange(-(-steps // 4))[:, None])
-    for word in (0, 2):
-        for w, normals in enumerate(_box_muller(u[word], u[word + 1]), word):
-            z[:, w::4] = normals[:, :len(range(w, steps, 4))]
+    z = np.empty((p, steps, c)) if out is None else out
+    blocks = np.arange(-(-steps // 4))[:, None]
+    for lo in range(0, p, _NOISE_ROWS):
+        rows = slice(lo, lo + _NOISE_ROWS)
+        u = _counter_uniforms(key, index[rows, None, :], blocks)
+        for word in (0, 2):
+            r, angle = _polar(u[word], u[word + 1])
+            for w, trig in ((word, np.cos), (word + 1, np.sin)):
+                n = len(range(w, steps, 4))
+                np.multiply(r[:, :n], trig(angle)[:, :n], out=z[rows, w::4])
     return z
 
 
@@ -275,10 +293,10 @@ _NOISE_TAG = 0x5DE
 
 
 def draw_noise(k: int, grid: TimeGrid, m: int, seed: int,
-               traj_offset: int = 0) -> np.ndarray:
+               traj_offset: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal tensor (M, N, ncoord) for trajectories
     traj_offset .. traj_offset + m - 1, on counter index
-    (traj_offset + t) * ncoord + c.
+    (traj_offset + t) * ncoord + c; written into `out` if given.
 
     The Box-Muller radius comes from a uniform of 32-bit resolution, which
     caps |z| at sqrt(66 ln 2) = 6.76; a true standard normal exceeds that
@@ -286,12 +304,14 @@ def draw_noise(k: int, grid: TimeGrid, m: int, seed: int,
     """
     nc = n_coords(k)
     index = (traj_offset + np.arange(m))[:, None] * nc + np.arange(nc)
-    return _counter_normals(_philox_key([seed, _NOISE_TAG]), index, grid.steps)
+    return _counter_normals(_philox_key([seed, _NOISE_TAG]), index, grid.steps, out)
 
 
 def _increments(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                noise: np.ndarray) -> np.ndarray:
-    """Generator increments dA_k = |Y_k|^a dt, shape (M, N, ncoord).
+                noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Generator increments dA_k = |Y_k|^a dt, shape (M, N, ncoord), written
+    into `out` if given; out may be the noise itself, which each step
+    overwrites once it has been read.
 
     Y advances by an Euler step with the measure-shifted drift
     b + sigma * kappa; each increment uses the step's left endpoint.
@@ -300,20 +320,22 @@ def _increments(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
     sqdt = np.sqrt(dt)
     drift = params.b + params.sigma * kappa_from_h(measure, params.k)
     y = np.broadcast_to(params.y0, (noise.shape[0], noise.shape[2])).copy()
-    increments = np.empty(noise.shape)
+    increments = np.empty(noise.shape) if out is None else out
     # overflow becomes inf, which the callers' finite checks report
     with np.errstate(over="ignore"):
         for step in range(grid.steps):
-            increments[:, step] = np.abs(y) ** params.a * dt
+            increment = np.abs(y) ** params.a * dt
             y = y + drift * dt + params.sigma * sqdt * noise[:, step]
+            increments[:, step] = increment
     return increments
 
 
 # Matrices per expm_batch call in _products: enough to amortize the
 # per-call overhead, few enough that a block's factors stay in cache.
 # Blocks of 2,048-8,192 matrices were fastest at M = 100, 256 and 400;
-# 16,384 and one call over the whole horizon were slower.
-_STEP_BLOCK = 4096
+# 16,384 and one call over the whole horizon were slower.  The smallest
+# of these keeps each executor worker's temporaries smallest.
+_STEP_BLOCK = 2048
 
 
 def _products(increments: np.ndarray, k: int, rpaths: np.ndarray | None = None,
@@ -361,23 +383,25 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                    m: int, seed: int, traj_offset: int = 0, *,
-                   keep_times: list[float],
-                   keep_paths: int = 0) -> MatrixPathBundle:
+                   keep_times: list[float], keep_paths: int = 0,
+                   out: np.ndarray | None = None) -> MatrixPathBundle:
     """Group-preserving Euler simulation of M rating-matrix trajectories.
 
     The increments dA = |Y_k|^a dt depend on the driver Y alone, so the
     group products R_{k+1} = R_k exp(dA) are formed only when a matrix is
     kept.  The bundle keeps R at the grid times keep_times for every
     trajectory and every R_k of the leading keep_paths trajectories, so
-    keep_times=[] with keep_paths=0 keeps the increments only.  Raises
+    keep_times=[] with keep_paths=0 keeps the increments only.  Given `out`,
+    an (M, N, ncoord) array, the noise and then the increments are written
+    into it, and the bundle's increments are that array.  Raises
     NumericalError if any increment or kept matrix is non-finite.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     k = params.k
-    # the noise is freed before the products are formed
-    increments = _increments(params, measure, grid,
-                             draw_noise(k, grid, m, seed, traj_offset))
+    # the noise is overwritten by the increments, step by step
+    noise = draw_noise(k, grid, m, seed, traj_offset, out)
+    increments = _increments(params, measure, grid, noise, out=noise)
     _require_finite(increments, "generator increments")
     kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
     rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
@@ -409,36 +433,85 @@ def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
 _CHUNK = 256
 
 
+def _chunk_buffers(m: int, threads: int, steps: int, k: int) -> tuple[int, ...]:
+    """(workers, chunk, N, ncoord): simulate_paths_threaded's worker count
+    for m trajectories, at most one per chunk and one per core, and the
+    shape of each worker's chunk buffer."""
+    return (min(threads, -(-m // _CHUNK), os.cpu_count() or 1), min(m, _CHUNK),
+            steps, n_coords(k))
+
+
 def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                             m: int, seed: int, *, keep_times: list[float],
-                            keep_paths: int = 0, each_chunk=None) -> MatrixPathBundle:
+                            keep_paths: int = 0, each_chunk=None,
+                            threads: int = 1) -> MatrixPathBundle:
     """simulate_paths over fixed chunks of 256 trajectories, keeping R at
     the grid times keep_times for every trajectory and every R_k of the
     leading keep_paths trajectories; the package's one loop over chunks.
 
+    The chunks are dealt round-robin to the worker threads that
+    _chunk_buffers counts; with one worker they run on the calling thread,
+    which otherwise only waits.  Each worker owns one (chunk, N, ncoord)
+    buffer that holds the noise and then the increments of every chunk it
+    runs.
+    Every draw is keyed on its global trajectory index, so the kept arrays
+    and each chunk's increments equal the same slices of a single
+    simulate_paths call bit for bit, whatever the thread count.
+
     each_chunk(offset, part), if given, is called with each chunk's bundle,
-    increments included, before the chunk is dropped; offset is the
-    chunk's first global trajectory index.  No chunk is held while the next
-    is simulated.  Every draw is keyed on its global trajectory index, so
-    the kept arrays and each chunk's increments equal the same slices of a
-    single simulate_paths call bit for bit.  The chunks run one after
-    another on the calling thread: a pool of 2 workers was slower than 1.
+    increments included; offset is the chunk's first global trajectory
+    index.  It may run on any worker, concurrently with other chunks, so it
+    must write only its own rows, offset .. offset + part.m - 1, of any
+    shared output.  part's arrays are valid only during the call: the
+    worker's buffer is reused for its next chunk.
+
+    If a chunk raises, no chunk after it is started, and the error of the
+    first chunk that raised is raised once every worker has stopped.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     k = params.k
     kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
     matrices = np.empty((m, len(kept), k, k))
     rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
-    for off in range(0, m, _CHUNK):
-        part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
-                              traj_offset=off, keep_times=keep_times,
-                              keep_paths=max(0, keep_paths - off))
-        matrices[off:off + part.m] = part.matrices
-        rpaths[off:off + len(part.rpaths)] = part.rpaths
-        if each_chunk is not None:
-            each_chunk(off, part)
-        del part                     # hold no chunk while the next is simulated
+    offsets = range(0, m, _CHUNK)
+    workers, *shape = _chunk_buffers(m, threads, grid.steps, k)
+    buffers = [np.empty(shape) for _ in range(workers)]
+    failed = []                       # (offset, error) of each chunk that raised
+
+    def work(worker):
+        for off in offsets[worker::workers]:
+            if any(bad < off for bad, _ in failed):
+                return
+            try:
+                part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
+                                      traj_offset=off, keep_times=keep_times,
+                                      keep_paths=max(0, keep_paths - off),
+                                      out=buffers[worker][:min(_CHUNK, m - off)])
+                matrices[off:off + part.m] = part.matrices
+                rpaths[off:off + len(part.rpaths)] = part.rpaths
+                if each_chunk is not None:
+                    each_chunk(off, part)
+            except Exception as exc:  # raised on the calling thread below
+                failed.append((off, exc))
+                return
+
+    if workers == 1:
+        work(0)
+    else:
+        pool = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for thread in pool:
+            thread.start()
+        try:
+            for thread in pool:
+                thread.join()
+        except BaseException:         # interrupted: the workers stop after their chunk
+            failed.append((-1, None))
+            raise
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return MatrixPathBundle(k=k, grid=grid, m=m, rpaths=rpaths, kept=kept,
                             matrices=matrices)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .sde import (DEFAULT_STEPS_PER_YEAR, MeasureChange, SdeParams, TimeGrid,
-                  _box_muller, _counter_normals, _counter_uniforms, _philox_key,
+                  _counter_normals, _counter_uniforms, _philox_key, _polar,
                   simulate_paths_threaded)
 from .ctmc import piecewise_generators, _ssa_batch
 
@@ -62,8 +62,8 @@ class PortfolioSpec:
         key = _philox_key([self.seed, _PORTFOLIO_STATIC_TAG])
         u_radius, u_angle, u_life = _counter_uniforms(key, np.arange(self.n + 1), 0,
                                                       words=3)
-        z, _ = _box_muller(u_radius, u_angle)
-        return self.sigma_scale * z, horizon * u_life[1:]
+        r, angle = _polar(u_radius, u_angle)
+        return self.sigma_scale * (r * np.cos(angle)), horizon * u_life[1:]
 
 
 def simulate_portfolio(spec: PortfolioSpec, grid: TimeGrid, m: int, seed: int) -> np.ndarray:
@@ -297,15 +297,16 @@ class XvaPaths:
 
 def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
                        m: int, portfolio: PortfolioSpec, seed: int,
-                       bank_rating: int = 1, cpty_rating: int = 2) -> XvaPaths:
+                       bank_rating: int = 1, cpty_rating: int = 2,
+                       threads: int = 1) -> XvaPaths:
     """Simulate portfolio values and both parties' rating paths.
 
     Bank and counterparty paths use independent streams but share the
     same matrix trajectory, sampled from its intensities.  Both parties
-    are sampled inside simulate_paths_threaded's each_chunk, so only one
-    chunk's increments and intensities are held at a time; the chunks
-    bound memory only, as each party's SSA draws are keyed on the global
-    trajectory index.
+    are sampled inside simulate_paths_threaded's each_chunk, on up to
+    `threads` threads, so only each worker's chunk of increments and
+    intensities is held at a time; the chunks and threads change no bit,
+    as each party's SSA draws are keyed on the global trajectory index.
     """
     k = params.k
     for name, rating in (("bank_rating", bank_rating), ("cpty_rating", cpty_rating)):
@@ -331,7 +332,7 @@ def simulate_xva_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid
                 gens, 1, i0, grid, keys[party], path_offset=off)
 
     simulate_paths_threaded(params, measure, grid, m, seed, keep_times=[],
-                            each_chunk=sample)
+                            each_chunk=sample, threads=threads)
     v = simulate_portfolio(portfolio, grid, m, seed)
     return XvaPaths(grid=grid, v=v, xb=xb, tau_b=tau_b, xc=xc, tau_c=tau_c,
                     predefault_b=pre_b, predefault_c=pre_c)

@@ -261,6 +261,8 @@ def test_criterion_11_cli_determinism(tmp_path):
         "csa.postings_per_year = 24\n"
         "checkpoints = 0.5,1.0\n"
     )
+    # every simulation here fits in one chunk of 256 trajectories, so the
+    # --threads 8 run starts no worker
     runs = (("r1", "1"), ("r2", "1"), ("r8", "8"))
     for out, threads in runs:
         for cmd in ("reconstruct", "simulate", "ssa", "xva"):

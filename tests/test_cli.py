@@ -9,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratingsde import (HISTORICAL, PortfolioSpec, SdeParams, TimeGrid,
+from ratingsde import (HISTORICAL, NumericalError, PortfolioSpec, SdeParams, TimeGrid,
                        ValidationError, empirical_transition, simulate_paths,
                        simulate_xva_paths)
 from ratingsde import cli, sde
@@ -253,6 +254,38 @@ def _occupancy_rows(path):
     return header, {row[0]: [float(x) for x in row[1:]] for row in body}
 
 
+# Runs of simulate, ssa and xva over several chunks when sde._CHUNK is 7:
+# (command, edits of the workdir config, simulate_paths calls, artifact names)
+CHUNKED_RUNS = [
+    # 300 trajectories x 12 steps: the 50 fan paths span 8 chunks of 7;
+    # mean and var at 3 checkpoints, the property report, 2 SVGs, the summary
+    ("simulate", {"grid.steps_per_year = 24": "grid.steps_per_year = 12",
+                  "sim.m = 40": "sim.m = 300"}, 43,
+     ["histograms.svg", "mean_t0.25.csv", "mean_t0.5.csv", "mean_t1.csv",
+      "property_report.csv", "run_summary.json", "trajectories.svg",
+      "var_t0.25.csv", "var_t0.5.csv", "var_t1.csv"]),
+    # 30 trajectories of 40 paths from each of A, B and C; occupancy at 3
+    # checkpoints, 3 occupancy SVGs, the pre-default CSV and SVG, the summary
+    ("ssa", {"sim.m1 = 10": "sim.m1 = 30"}, 5,
+     ["occupancy_A.svg", "occupancy_B.svg", "occupancy_C.svg",
+      "occupancy_t0.25.csv", "occupancy_t0.5.csv", "occupancy_t1.csv",
+      "predefault.csv", "predefault.svg", "run_summary.json"]),
+    # 60 scenarios; the bank starts at rating C, so some paths default and
+    # the rating paths reach the report
+    ("xva", {"xva.m = 60": "xva.m = 60\nxva.bank_rating = 3"}, 9,
+     ["predefault.csv", "run_summary.json", "xva_report.csv"]),
+]
+
+
+def _edit_config(workdir, edits):
+    cfg = workdir / "run.cfg"
+    text = cfg.read_text()
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    return cfg
+
+
 def _write_overflowing_params(workdir):
     """a=400 with b=sigma=3 overflows |Y|^a within the first year."""
     labels, a, b, sigma = read_params_csv(workdir / "params.csv")
@@ -341,32 +374,10 @@ class TestCliCommands:
         _, mean = read_rating_csv(workdir / "s" / "mean_t1.csv")
         assert np.abs(mean.sum(axis=1) - 1.0).max() <= 1e-9
 
-    @pytest.mark.parametrize("command, edits, chunks, names", [
-        # 300 trajectories x 12 steps: the 50 fan paths span 8 chunks of 7;
-        # mean and var at 3 checkpoints, the property report, 2 SVGs, the summary
-        ("simulate", {"grid.steps_per_year = 24": "grid.steps_per_year = 12",
-                      "sim.m = 40": "sim.m = 300"}, 43,
-         ["histograms.svg", "mean_t0.25.csv", "mean_t0.5.csv", "mean_t1.csv",
-          "property_report.csv", "run_summary.json", "trajectories.svg",
-          "var_t0.25.csv", "var_t0.5.csv", "var_t1.csv"]),
-        # 30 trajectories of 40 paths from each of A, B and C; occupancy at 3
-        # checkpoints, 3 occupancy SVGs, the pre-default CSV and SVG, the summary
-        ("ssa", {"sim.m1 = 10": "sim.m1 = 30"}, 5,
-         ["occupancy_A.svg", "occupancy_B.svg", "occupancy_C.svg",
-          "occupancy_t0.25.csv", "occupancy_t0.5.csv", "occupancy_t1.csv",
-          "predefault.csv", "predefault.svg", "run_summary.json"]),
-        # 60 scenarios; the bank starts at rating C, so some paths default and
-        # the rating paths reach the report
-        ("xva", {"xva.m = 60": "xva.m = 60\nxva.bank_rating = 3"}, 9,
-         ["predefault.csv", "run_summary.json", "xva_report.csv"]),
-    ])
+    @pytest.mark.parametrize("command, edits, chunks, names", CHUNKED_RUNS)
     def test_artifacts_do_not_depend_on_the_chunk_size(self, workdir, monkeypatch,
                                                        command, edits, chunks, names):
-        cfg = workdir / "run.cfg"
-        text = cfg.read_text()
-        for old, new in edits.items():
-            text = text.replace(old, new)
-        cfg.write_text(text)
+        cfg = _edit_config(workdir, edits)
         simulate, calls = sde.simulate_paths, []
         monkeypatch.setattr(sde, "simulate_paths",
                             lambda *a, **kw: calls.append(1) or simulate(*a, **kw))
@@ -384,6 +395,83 @@ class TestCliCommands:
             # the sampled rating paths default, so their draws reach the artifacts
             assert json.loads(artifacts[7]["run_summary.json"])["total_defaults"] > 0
         assert artifacts[7] == artifacts[1000]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one worker")
+    @pytest.mark.parametrize("command, edits, chunks, names", CHUNKED_RUNS)
+    def test_artifacts_do_not_depend_on_the_thread_count(self, workdir, monkeypatch,
+                                                         command, edits, chunks, names):
+        cfg = _edit_config(workdir, edits)
+        simulate, idents = sde.simulate_paths, []
+        monkeypatch.setattr(sde, "simulate_paths", lambda *a, **kw: (
+            idents.append(threading.get_ident()) or simulate(*a, **kw)))
+        monkeypatch.setattr(sde, "_CHUNK", 7)
+        artifacts, ran_on = {}, {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)          # the workers interleave often
+        try:
+            for threads in (1, 3):
+                idents.clear()
+                out = workdir / f"threads{threads}"
+                assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                                 "--threads", str(threads)]) == 0
+                ran_on[threads] = set(idents)
+                artifacts[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(idents) == chunks
+        # one thread runs every chunk on the caller; more run them on
+        # workers while the caller waits
+        assert ran_on[1] == {threading.get_ident()}
+        assert len(ran_on[3]) == min(3, os.cpu_count()) > 1
+        assert threading.get_ident() not in ran_on[3]
+        assert sorted(artifacts[3]) == names
+        assert artifacts[1] == artifacts[3]
+
+    def test_threads_never_exceed_the_chunks_or_cores(self, workdir, monkeypatch):
+        # 40 trajectories in 6 chunks of 7, asked for on 64 threads
+        simulate, idents, started = sde.simulate_paths, [], []
+        monkeypatch.setattr(sde, "simulate_paths", lambda *a, **kw: (
+            idents.append(threading.get_ident()) or simulate(*a, **kw)))
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(1) or start(thread))
+        monkeypatch.setattr(sde, "_CHUNK", 7)
+        before = threading.active_count()
+        assert cli.main(["simulate", "--config", str(workdir / "run.cfg"),
+                         "--out", str(workdir / "o"), "--threads", "64"]) == 0
+        workers = min(6, os.cpu_count())
+        assert len(idents) == 6
+        assert len(set(idents)) == workers
+        assert len(started) == (workers if workers > 1 else 0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_thread_count_below_one_exits_one(self, workdir, value):
+        res = run_cli("simulate", "--config", "run.cfg", "--out", "o",
+                      "--threads", value, cwd=workdir)
+        assert res.returncode == 1, res.stderr
+        assert f"argument --threads: must be >= 1, got {value}" in res.stderr
+        assert not (workdir / "o").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "sim.m"), ("ssa", "sim.m1"), ("xva", "xva.m")])
+    def test_size_check_counts_every_workers_buffer(self, workdir, monkeypatch,
+                                                    command, key):
+        sized = []
+
+        def recording(cfg, keys, *arrays):
+            sized.extend(arrays)
+            raise ValidationError("sized")
+
+        monkeypatch.setattr(cli, "_require_allocatable", recording)
+        cfg = workdir / "run.cfg"
+        lines = [line for line in cfg.read_text().splitlines()
+                 if not line.startswith(f"{key} =")]
+        cfg.write_text("\n".join(lines + [f"{key} = 600"]) + "\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(workdir / "o"),
+                         "--threads", "8"]) == 1
+        # 600 trajectories in 3 chunks of 256, 24 steps, 9 coordinates
+        assert (min(3, os.cpu_count()), 256, 24, 9, 8) in sized
 
     @pytest.mark.parametrize("command", ["simulate", "ssa", "xva"])
     def test_every_command_simulates_in_chunks(self, workdir, monkeypatch, command):
@@ -499,6 +587,20 @@ class TestCliCommands:
         assert "Traceback" not in res.stderr
         assert list((workdir / "o").iterdir()) == []
 
+    @pytest.mark.parametrize("column, name", [(2, "a"), (3, "b"), (4, "sigma")])
+    def test_negative_parameter_names_the_file_and_line(self, workdir, column, name):
+        path = workdir / "params.csv"
+        rows = path.read_text().splitlines()
+        cells = rows[2].split(",")                  # coordinate 1-3
+        cells[column - 1] = "-1"
+        rows[2] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        res = run_cli("simulate", "--config", "run.cfg", "--out", "o", cwd=workdir)
+        assert res.returncode == 1, res.stderr
+        assert (f"validation error: params.csv: line 3, column {column}: "
+                f"{name} must be nonnegative, got -1.0") in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
     def test_simulate_non_finite_exits_two(self, workdir):
         _write_overflowing_params(workdir)
         cfg = workdir / "run.cfg"
@@ -510,6 +612,41 @@ class TestCliCommands:
         assert res.returncode == 2, res.stderr
         assert "numerical error" in res.stderr
         assert list((workdir / "o").glob("mean_t*.csv")) == []
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one worker")
+    def test_numerical_error_on_a_worker_exits_two(self, workdir, monkeypatch, capsys):
+        # 600 trajectories in 3 chunks on 2 workers; every chunk overflows
+        _write_overflowing_params(workdir)
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text()
+                       .replace("grid.steps_per_year = 24", "grid.steps_per_year = 120")
+                       .replace("sim.m = 40", "sim.m = 600"))
+        simulate, raised_on = sde.simulate_paths, []
+
+        def recording(*args, **kwargs):
+            try:
+                return simulate(*args, **kwargs)
+            except NumericalError:
+                raised_on.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(sde, "simulate_paths", recording)
+        before = threading.active_count()
+        errors, raisers = {}, {}
+        for threads in ("1", "2"):
+            raised_on.clear()
+            out = workdir / f"o{threads}"
+            code = cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                             "--threads", threads])
+            assert code == 2
+            errors[threads], raisers[threads] = capsys.readouterr().err, set(raised_on)
+            assert list(out.glob("mean_t*.csv")) == []
+            assert threading.active_count() == before
+        assert "numerical error" in errors["2"] and "Traceback" not in errors["2"]
+        assert raisers["1"] == {threading.get_ident()}
+        assert raisers["2"] and threading.get_ident() not in raisers["2"]
+        # the first chunk's error, as on one thread
+        assert errors["2"] == errors["1"]
 
     def test_calibrate_hist_non_finite_start_exits_two(self, workdir):
         # the start point clipped up to a=b=sigma=50 leaves floating-point range
@@ -586,6 +723,8 @@ class TestCliCommands:
         ("simulate", "measure.kind = historical",
          "measure.kind = exponential\nmeasure.h = 1,0,1,1"),
         ("ssa", None, "ssa.initial = 2,2"),
+        ("calibrate-rn", "measure.kind = historical", "measure.kind = foo"),
+        ("calibrate-rn", "measure.kind = historical", "measure.kind = historical"),
     ])
     def test_rejected_config_value_names_the_file_and_key(self, workdir, capsys,
                                                           command, old, new):
@@ -841,6 +980,9 @@ class TestCliCommands:
         assert "xva_report.csv" in res.stderr
 
     def test_pipeline_rerun_is_byte_identical(self, workdir):
+        # every simulation here fits in one chunk of 256 trajectories, so the
+        # --threads 8 runs start no worker; see
+        # test_artifacts_do_not_depend_on_the_thread_count for runs that do
         for threads, out in (("1", "d1"), ("8", "d8")):
             for cmd in ("reconstruct", "simulate", "ssa", "xva"):
                 res = run_cli(cmd, "--config", "run.cfg", "--out", out,
@@ -878,6 +1020,17 @@ class TestCliCommands:
         report = json.loads(res.stdout.splitlines()[-1])
         for stage in ["import", *commands]:
             assert report[stage] == [0, []], stage
+
+    def test_cli_import_loads_no_thread_pool(self):
+        # the executor starts plain threads; concurrent.futures would cost
+        # about 11 ms of every command's start-up
+        env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, ratingsde.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"],
+            env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
     def test_seed_flag_overrides_config(self, workdir):
         for extra, out in (((), "a"), (("--seed", "43"), "b")):

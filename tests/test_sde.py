@@ -109,8 +109,9 @@ class TestSimulatePaths:
             chunked = simulate_paths_threaded(     # 3 chunks of <= 256
                 calibrated_params, HISTORICAL, g, 600, 5, keep_times=[1.0, 0.2, 1.0],
                 keep_paths=keep_paths,
+                # part's arrays are reused after the call, so they are copied
                 each_chunk=lambda off, part: (offsets.append(off),
-                                              increments.append(part.increments)))
+                                              increments.append(part.increments.copy())))
             assert offsets == [0, 256, 512]
             assert np.array_equal(np.concatenate(increments), single.increments)
             assert chunked.increments is None
@@ -119,6 +120,27 @@ class TestSimulatePaths:
             for t, idx in ((0.2, 3), (1.0, 15)):
                 assert np.array_equal(chunked.matrices_at(t), single.rpaths[:, idx])
             assert np.array_equal(chunked.rpaths, single.rpaths[:keep_paths])
+
+    def test_threads_change_no_bit(self, calibrated_params):
+        g = TimeGrid(1.0, 15)
+        runs = []
+        for threads in (1, 2):
+            increments = {}
+            bundle = simulate_paths_threaded(     # 3 chunks of <= 256
+                calibrated_params, HISTORICAL, g, 600, 5, keep_times=[0.2, 1.0],
+                keep_paths=300, threads=threads,
+                each_chunk=lambda off, part: increments.update(
+                    {off: part.increments.copy()}))
+            runs.append((bundle, increments))
+        (one, inc_one), (two, inc_two) = runs
+        assert sorted(inc_two) == [0, 256, 512]
+        for off in inc_one:
+            assert np.array_equal(inc_one[off], inc_two[off])
+        assert np.array_equal(one.matrices, two.matrices)
+        assert np.array_equal(one.rpaths, two.rpaths)
+        with pytest.raises(ValidationError, match="threads must be >= 1"):
+            simulate_paths_threaded(calibrated_params, HISTORICAL, g, 600, 5,
+                                    keep_times=[1.0], threads=0)
 
     def test_matrices_at_a_time_not_kept_raises(self, calibrated_params):
         bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
@@ -234,7 +256,7 @@ class TestProducts:
 
         monkeypatch.setattr(sde, "expm_batch", counting)
         _products(np.full((256, 120, 9), 1e-3), 4)
-        assert shapes == [(16, 256)] * 7 + [(8, 256)]
+        assert shapes == [(8, 256)] * 15
 
 
 class TestGirsanovDensity:
