@@ -97,12 +97,12 @@ class HistCalibrationSpec:
 
 
 def hist_residual(params: SdeParams, spec: HistCalibrationSpec,
-                  noise: np.ndarray) -> np.ndarray:
+                  noise: np.ndarray, threads: int = 1) -> np.ndarray:
     """Stacked residual [w1*(mean - rec), w2*(var - variance target)], row-major,
-    on the frozen noise of the calibration."""
+    on the frozen noise of the calibration, simulated on up to `threads` threads."""
     if params.k != spec.k:
         raise ValidationError(f"params k={params.k} but spec k={spec.k}")
-    rt = simulate_terminal(params, HISTORICAL, spec.grid, noise)
+    rt = simulate_terminal(params, HISTORICAL, spec.grid, noise, threads)
     mean = rt.mean(axis=0)
     var = rt.var(axis=0, ddof=1) if len(rt) > 1 else np.zeros_like(mean)
     f1 = (mean - spec.target_rec).ravel()
@@ -187,8 +187,9 @@ def _levenberg_marquardt(fun, x0, lo, hi, max_iter=60):
 
 def calibrate_historical(spec: HistCalibrationSpec,
                          start: SdeParams | None = None,
-                         max_iter: int = 60) -> HistCalibrationResult:
-    """Fit (a, b, sigma) per coordinate by bounded Levenberg-Marquardt."""
+                         max_iter: int = 60, threads: int = 1) -> HistCalibrationResult:
+    """Fit (a, b, sigma) per coordinate by bounded Levenberg-Marquardt,
+    simulating on up to `threads` threads."""
     nc = n_coords(spec.k)
     if start is None:
         a0, b0, s0 = DEFAULT_START
@@ -197,7 +198,7 @@ def calibrate_historical(spec: HistCalibrationSpec,
     noise = draw_noise(spec.k, spec.grid, spec.m, spec.seed)
 
     def fun(p):
-        return hist_residual(SdeParams.from_stacked(spec.k, p), spec, noise)
+        return hist_residual(SdeParams.from_stacked(spec.k, p), spec, noise, threads)
 
     lo = np.full(3 * nc, spec.bound_lo)
     hi = np.full(3 * nc, spec.bound_hi)
@@ -214,13 +215,13 @@ def _measure_for(kind: str, h_free: np.ndarray) -> MeasureChange:
     return MeasureChange(kind=kind, h=np.append(np.asarray(h_free, dtype=float), 1.0))
 
 
-def rn_residual(h_free: np.ndarray, params: SdeParams, kind: str,
-                targets: PdTargets, grid: TimeGrid, noise: np.ndarray) -> np.ndarray:
+def rn_residual(h_free: np.ndarray, params: SdeParams, kind: str, targets: PdTargets,
+                grid: TimeGrid, noise: np.ndarray, threads: int = 1) -> np.ndarray:
     """Mean simulated default column at the horizon minus the PD targets,
-    on the frozen noise of the calibration."""
+    on the frozen noise of the calibration, simulated on up to `threads` threads."""
     if targets.k != params.k:
         raise ValidationError(f"targets have length {targets.k}, expected {params.k}")
-    rt = simulate_terminal(params, _measure_for(kind, h_free), grid, noise)
+    rt = simulate_terminal(params, _measure_for(kind, h_free), grid, noise, threads)
     return rt[:, :, -1].mean(axis=0) - targets.values
 
 
@@ -234,9 +235,9 @@ class RnCalibrationResult:
 
 def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
                            grid: TimeGrid | None = None, m: int = 1000,
-                           seed: int = 0) -> RnCalibrationResult:
+                           seed: int = 0, threads: int = 1) -> RnCalibrationResult:
     """Fit the K-1 free entries of h by bounded Levenberg-Marquardt, from
-    h = 1 within RN_BOUNDS[kind].
+    h = 1 within RN_BOUNDS[kind], simulating on up to `threads` threads.
 
     The SDE parameters stay fixed at their historical values; only the
     drift shift varies.  Raises NumericalError if the residual at the
@@ -249,7 +250,7 @@ def calibrate_risk_neutral(params: SdeParams, kind: str, targets: PdTargets,
     noise = draw_noise(k, grid, m, seed)
     lo, hi = RN_BOUNDS[kind]
     x, sse, iterations, converged = _levenberg_marquardt(
-        lambda h: rn_residual(h, params, kind, targets, grid, noise),
+        lambda h: rn_residual(h, params, kind, targets, grid, noise, threads),
         np.ones(k - 1), np.full(k - 1, lo), np.full(k - 1, hi))
     return RnCalibrationResult(h=np.append(x, 1.0), sse=sse,
                                iterations=iterations, converged=converged)

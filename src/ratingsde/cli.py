@@ -2,9 +2,10 @@
 
 Subcommands: reconstruct, calibrate-hist, calibrate-rn, simulate, ssa,
 xva, report.  Global flags: --config PATH, --seed N (overrides config),
---out DIR, --threads N (simulate, ssa and xva run their chunks of 256
-matrix trajectories on up to N worker threads, at most one per chunk and
-per core; no output depends on N).  Exit codes: 0 success, 1 validation,
+--out DIR, --threads N (every simulating command runs its matrix
+trajectories on up to N worker threads, at most one per chunk and per
+core: simulate, ssa and xva in chunks of 256, the calibrations in one part
+per worker; no output depends on N).  Exit codes: 0 success, 1 validation,
 2 numerical failure, 3 I/O.
 
 All outputs are deterministic functions of (config, seed); wall-clock
@@ -21,6 +22,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,8 @@ from . import __version__
 from .calibrate import (RN_BOUNDS, HistCalibrationSpec, PdTargets, calibrate_historical,
                         calibrate_risk_neutral, coordinate_labels,
                         property_report)
-from .cohort import (CohortMatrix, RepairOutputs, WeightMatrix, proportional_weights,
-                     repair, uniform_weights)
+from .cohort import (CohortMatrix, RepairOutputs, WeightMatrix, cohort_fault,
+                     proportional_weights, reconstruction_fault, repair, uniform_weights)
 from .config import RunConfig
 from .ctmc import simulate_nested_paths, simulation_error
 from .errors import NumericalError, RatingSdeError, ValidationError
@@ -74,9 +76,8 @@ def _build_parser() -> _Parser:
                        help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=_thread_count, default=1,
-                       help="worker threads for the trajectory chunks of simulate, "
-                            "ssa and xva (at most one per chunk and per core; "
-                            "outputs do not depend on it)")
+                       help="worker threads for the matrix trajectories (at most "
+                            "one per chunk and per core; outputs do not depend on it)")
     return parser
 
 
@@ -148,9 +149,11 @@ def _weights(cfg: RunConfig, cohort: CohortMatrix) -> WeightMatrix:
 def _repair(cfg: RunConfig) -> RepairOutputs:
     """The repair artifacts of the cohort, with the injected reconstruction
     of `paths.reconstructed` if one is given."""
-    cohort = CohortMatrix(k=cfg.k, entries=_read_rated(cfg, "paths.cohort"))
-    return repair(cohort, _weights(cfg, cohort),
-                  reconstructed=_read_rated(cfg, "paths.reconstructed", required=False))
+    cohort = CohortMatrix(k=cfg.k, entries=_read_rated(
+        cfg, "paths.cohort", partial(read_rating_csv, check=cohort_fault)))
+    return repair(cohort, _weights(cfg, cohort), reconstructed=_read_rated(
+        cfg, "paths.reconstructed", partial(read_rating_csv, check=reconstruction_fault),
+        required=False))
 
 
 def _read_params(cfg: RunConfig):
@@ -218,7 +221,8 @@ def _cmd_calibrate_hist(args) -> int:
         bound_lo=cfg.get_float("hist.bound_lo", 0.0),
         bound_hi=cfg.get_float("hist.bound_hi", 3.0),
     )
-    result = calibrate_historical(spec, max_iter=cfg.get_count("hist.max_iter", 60, 1))
+    result = calibrate_historical(spec, max_iter=cfg.get_count("hist.max_iter", 60, 1),
+                                  threads=args.threads)
     _warn_unconverged("calibrate-hist", result)
     write_params_csv(out / "params.csv", coordinate_labels(cfg.k),
                      result.params.a, result.params.b, result.params.sigma)
@@ -242,7 +246,7 @@ def _cmd_calibrate_rn(args) -> int:
         raise ValidationError(f"{cfg.source}: measure.kind must be one of "
                               f"{tuple(RN_BOUNDS)} for calibrate-rn, got {kind!r}")
     result = calibrate_risk_neutral(params, kind, PdTargets(pds), grid=grid,
-                                    m=m, seed=cfg.seed())
+                                    m=m, seed=cfg.seed(), threads=args.threads)
     _warn_unconverged("calibrate-rn", result)
     lines = ["rating,h"]
     lines += [f"{lab},{format(hv, '.17g')}" for lab, hv in zip(cfg.labels(), result.h)]

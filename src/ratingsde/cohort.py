@@ -10,14 +10,23 @@ entry received and turns it into a variance target for calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .lie import StochasticMatrix
+from .lie import StochasticMatrix, validate_stochastic
 
 _ROW_SUM_SLACK = 1e-9
 _WEIGHT_FLOOR = 1e-12
+# Slack of a reconstruction read from a file, which prints it to 6
+# decimals: the rows of the bundled reconstructed_1y.csv are off by 6.0e-6.
+RECONSTRUCTED_TOL = 1e-5
+# validate_stochastic for a cohort matrix, whose rows may lose mass to
+# withdrawals, and for a reconstruction read from a file.
+cohort_fault = partial(validate_stochastic, tol=_ROW_SUM_SLACK, what="cohort", sub=True)
+reconstruction_fault = partial(validate_stochastic, tol=RECONSTRUCTED_TOL,
+                               what="reconstructed")
 
 
 @dataclass(frozen=True)
@@ -32,14 +41,9 @@ class CohortMatrix:
         object.__setattr__(self, "entries", m)
         if m.shape != (self.k, self.k):
             raise ValidationError(f"expected shape ({self.k},{self.k}), got {m.shape}")
-        if m.min() < 0 or m.max() > 1:
-            raise ValidationError("cohort entries must lie in [0, 1]")
-        if m.sum(axis=1).max() > 1 + _ROW_SUM_SLACK:
-            raise ValidationError("cohort row sums must not exceed 1")
-        e_k = np.zeros(self.k)
-        e_k[-1] = 1.0
-        if np.abs(m[-1] - e_k).max() > _ROW_SUM_SLACK:
-            raise ValidationError("last cohort row must be the last unit vector")
+        fault = cohort_fault(m)
+        if fault:
+            raise ValidationError(f"row {fault[0] + 1}: {fault[1]}")
 
 
 @dataclass(frozen=True)

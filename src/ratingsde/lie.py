@@ -72,55 +72,30 @@ class StochasticMatrix:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", m)
-        report = validate_stochastic(m)
-        if not report.passed:
-            raise ValidationError(f"not a stochastic matrix: {report.summary()}")
+        fault = validate_stochastic(m)
+        if fault:
+            raise ValidationError(f"row {fault[0] + 1}: {fault[1]}")
         if m.shape[0] != self.k:
             raise ValidationError(f"dimension mismatch: k={self.k}, shape={m.shape}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Report-only stochasticity check; never raises."""
-
-    row_sum_dev: np.ndarray      # per-row |sum - 1|
-    min_entry: float
-    max_entry: float
-    absorbing_dev: float         # max |last row - e_K|
-    tol: float
-    passed: bool
-
-    def summary(self) -> str:
-        return (
-            f"max row-sum deviation {self.row_sum_dev.max():.3e}, "
-            f"entries in [{self.min_entry:.3e}, {self.max_entry:.3e}], "
-            f"absorbing-row deviation {self.absorbing_dev:.3e} (tol {self.tol:.1e})"
-        )
-
-
-def validate_stochastic(entries: np.ndarray, tol: float = ROW_SUM_TOL) -> ValidationReport:
+def validate_stochastic(entries: np.ndarray, tol: float = ROW_SUM_TOL,
+                        what: str = "stochastic matrix",
+                        sub: bool = False) -> tuple[int, str] | None:
+    """(row, message) of the first rule the square matrix breaks, or None:
+    entries in [0, 1], row sums 1 (at most 1 if sub, for rows that lose
+    mass) and the last row e_K, each to within tol."""
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    k = m.shape[0]
-    row_sum_dev = np.abs(m.sum(axis=1) - 1.0)
-    e_k = np.zeros(k)
-    e_k[-1] = 1.0
-    absorbing_dev = float(np.abs(m[-1] - e_k).max())
-    passed = bool(
-        row_sum_dev.max() <= tol
-        and m.min() >= -tol
-        and m.max() <= 1.0 + tol
-        and absorbing_dev <= tol
-    )
-    return ValidationReport(
-        row_sum_dev=row_sum_dev,
-        min_entry=float(m.min()),
-        max_entry=float(m.max()),
-        absorbing_dev=absorbing_dev,
-        tol=tol,
-        passed=passed,
-    )
+    for i, row in enumerate(m):
+        if not -tol <= row.min() <= row.max() <= 1 + tol:     # NaN fails too
+            return i, f"{what} entries must lie in [0, 1]"
+        if row.sum() > 1 + tol or not sub and row.sum() < 1 - tol:
+            return i, f"{what} row sums must {'not exceed' if sub else 'be'} 1"
+    if np.abs(m[-1] - np.eye(len(m))[-1]).max() > tol:
+        return len(m) - 1, f"last {what} row must be the last unit vector"
+    return None
 
 
 def coeffs_to_matrices(coeffs: np.ndarray, k: int) -> np.ndarray:

@@ -65,8 +65,10 @@ def _read_table(path: str | Path, expected: str, header_ok):
     return header, [(line, cells[0]) for line, cells in body], numbers
 
 
-def read_rating_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read a rating-matrix CSV; returns (labels, K x K entries)."""
+def read_rating_csv(path: str | Path, check=None) -> tuple[list[str], np.ndarray]:
+    """Read a rating-matrix CSV; returns (labels, K x K entries).  check, if
+    given, maps the entries to the (row, message) of a rule they break, or
+    to None; a broken rule raises, naming the row's line."""
     header, rows, entries = _read_table(
         path, "from,<labels...>",
         lambda h: len(h) >= 2 and h[0] in ("from", "from\\to", "from \\ to"))
@@ -77,6 +79,9 @@ def read_rating_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         if label != want:
             raise ValidationError(f"{path}: line {line}: row label {label!r} does "
                                   f"not match header label {want!r}")
+    fault = check and check(entries)
+    if fault:
+        raise ValidationError(f"{path}: line {rows[fault[0]][0]}: {fault[1]}")
     return labels, entries
 
 
@@ -125,6 +130,10 @@ def write_params_csv(path: str | Path, labels: list[str], a: np.ndarray,
 
 
 def read_pd_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read default-probability targets: rows ``rating,pd``."""
+    """Read default-probability targets: rows ``rating,pd``, each in [0, 1]."""
     _, rows, numbers = _read_table(path, "rating,pd", lambda h: h == ["rating", "pd"])
+    for (line, _), pd in zip(rows, numbers[:, 0].tolist()):
+        if not 0 <= pd <= 1:
+            raise ValidationError(f"{path}: line {line}, column 2: PD targets must "
+                                  f"lie in [0, 1], got {pd!r}")
     return [label for _, label in rows], numbers[:, 0].copy()

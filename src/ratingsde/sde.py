@@ -415,70 +415,62 @@ def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
 
 
 def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                      noise: np.ndarray) -> np.ndarray:
+                      noise: np.ndarray, threads: int = 1) -> np.ndarray:
     """Terminal matrices R_T only, shape (M, K, K), driven by the frozen
     noise (M, N, ncoord) of draw_noise; used by the calibration loops.
 
-    Same stepping as simulate_paths.  Non-finite values are returned, not
+    Same stepping as simulate_paths, in _run_chunks on one contiguous part
+    of the held noise per worker.  Non-finite values are returned, not
     raised: the calibration loops reject trial points with a NaN residual.
     """
-    steps, nc = grid.steps, n_coords(params.k)
+    steps, nc, k = grid.steps, n_coords(params.k), params.k
     if noise.ndim != 3 or noise.shape[1:] != (steps, nc) or noise.shape[0] < 1:
         raise ValidationError(f"noise must have shape (M >= 1, {steps}, {nc}), "
                               f"got {noise.shape}")
-    return _products(_increments(params, measure, grid, noise), params.k)
+    m = len(noise)
+    terminal = np.empty((m, k, k))
+
+    def run(off, buffer):
+        rows = slice(off, off + len(buffer))
+        terminal[rows] = _products(_increments(params, measure, grid, noise[rows], buffer), k)
+
+    workers = _chunk_buffers(m, threads, steps, k, 1)[0]      # min(threads, M, cores)
+    _run_chunks(m, threads, steps, k, -(-m // workers), run)
+    return terminal
 
 
 # Trajectories per simulate_paths call in simulate_paths_threaded.
 _CHUNK = 256
 
 
-def _chunk_buffers(m: int, threads: int, steps: int, k: int) -> tuple[int, ...]:
-    """(workers, chunk, N, ncoord): simulate_paths_threaded's worker count
-    for m trajectories, at most one per chunk and one per core, and the
-    shape of each worker's chunk buffer."""
-    return (min(threads, -(-m // _CHUNK), os.cpu_count() or 1), min(m, _CHUNK),
+def _chunk_buffers(m: int, threads: int, steps: int, k: int,
+                   chunk: int | None = None) -> tuple[int, ...]:
+    """(workers, chunk, N, ncoord): _run_chunks' worker count for m
+    trajectories in chunks of `chunk` (default _CHUNK), at most one per
+    chunk and one per core, and the shape of each worker's chunk buffer."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    chunk = chunk or _CHUNK
+    return (min(threads, -(-m // chunk), os.cpu_count() or 1), min(m, chunk),
             steps, n_coords(k))
 
 
-def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                            m: int, seed: int, *, keep_times: list[float],
-                            keep_paths: int = 0, each_chunk=None,
-                            threads: int = 1) -> MatrixPathBundle:
-    """simulate_paths over fixed chunks of 256 trajectories, keeping R at
-    the grid times keep_times for every trajectory and every R_k of the
-    leading keep_paths trajectories; the package's one loop over chunks.
-
-    The chunks are dealt round-robin to the worker threads that
+def _run_chunks(m: int, threads: int, steps: int, k: int, chunk: int, run) -> None:
+    """The package's one loop over chunks: run(offset, buffer) for each
+    chunk of `chunk` of the m trajectories, offset being its first index and
+    buffer its rows of the worker's (chunk, N, ncoord) array, which the
+    worker reuses.  The chunks are dealt round-robin to the workers that
     _chunk_buffers counts; with one worker they run on the calling thread,
-    which otherwise only waits.  Each worker owns one (chunk, N, ncoord)
-    buffer that holds the noise and then the increments of every chunk it
-    runs.
-    Every draw is keyed on its global trajectory index, so the kept arrays
-    and each chunk's increments equal the same slices of a single
-    simulate_paths call bit for bit, whatever the thread count.
+    which otherwise only waits.  run may execute concurrently with other
+    chunks, so it must write only its own rows of any shared output.
 
-    each_chunk(offset, part), if given, is called with each chunk's bundle,
-    increments included; offset is the chunk's first global trajectory
-    index.  It may run on any worker, concurrently with other chunks, so it
-    must write only its own rows, offset .. offset + part.m - 1, of any
-    shared output.  part's arrays are valid only during the call: the
-    worker's buffer is reused for its next chunk.
-
-    If a chunk raises, no chunk after it is started, and the error of the
-    first chunk that raised is raised once every worker has stopped.
+    If a chunk raises or the wait is interrupted, no further chunk starts,
+    and the first chunk's error or the interrupt is raised once every
+    worker has stopped.
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    k = params.k
-    kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
-    matrices = np.empty((m, len(kept), k, k))
-    rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
-    offsets = range(0, m, _CHUNK)
-    workers, *shape = _chunk_buffers(m, threads, grid.steps, k)
-    buffers = [np.empty(shape) for _ in range(workers)]
+    workers, size, *shape = _chunk_buffers(m, threads, steps, k, chunk)
+    offsets = range(0, m, size)
+    buffers = [np.empty((size, *shape)) for _ in range(workers)]
     failed = []                       # (offset, error) of each chunk that raised
 
     def work(worker):
@@ -486,14 +478,7 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
             if any(bad < off for bad, _ in failed):
                 return
             try:
-                part = simulate_paths(params, measure, grid, min(_CHUNK, m - off), seed,
-                                      traj_offset=off, keep_times=keep_times,
-                                      keep_paths=max(0, keep_paths - off),
-                                      out=buffers[worker][:min(_CHUNK, m - off)])
-                matrices[off:off + part.m] = part.matrices
-                rpaths[off:off + len(part.rpaths)] = part.rpaths
-                if each_chunk is not None:
-                    each_chunk(off, part)
+                run(off, buffers[worker][:min(size, m - off)])
             except Exception as exc:  # raised on the calling thread below
                 failed.append((off, exc))
                 return
@@ -502,16 +487,52 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
         work(0)
     else:
         pool = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
-        for thread in pool:
-            thread.start()
         try:
+            for thread in pool:
+                thread.start()
             for thread in pool:
                 thread.join()
         except BaseException:         # interrupted: the workers stop after their chunk
             failed.append((-1, None))
+            for thread in pool:
+                if thread.is_alive():
+                    thread.join()
             raise
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
+
+
+def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
+                            m: int, seed: int, *, keep_times: list[float],
+                            keep_paths: int = 0, each_chunk=None,
+                            threads: int = 1) -> MatrixPathBundle:
+    """simulate_paths over _run_chunks' chunks of _CHUNK trajectories, each
+    chunk's noise and then increments in its worker's buffer, keeping R at
+    the grid times keep_times for every trajectory and every R_k of the
+    leading keep_paths trajectories.  Every draw is keyed on its global
+    trajectory index, so the kept arrays and each chunk's increments equal
+    the same slices of one simulate_paths call bit for bit, whatever the
+    thread count.  each_chunk(offset, part), if given, is called within each
+    chunk with its bundle, increments included; part's arrays are valid
+    only during the call.
+    """
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    k = params.k
+    kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
+    matrices = np.empty((m, len(kept), k, k))
+    rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
+
+    def run(off, buffer):
+        part = simulate_paths(params, measure, grid, len(buffer), seed, traj_offset=off,
+                              keep_times=keep_times, keep_paths=max(0, keep_paths - off),
+                              out=buffer)
+        matrices[off:off + part.m] = part.matrices
+        rpaths[off:off + len(part.rpaths)] = part.rpaths
+        if each_chunk is not None:
+            each_chunk(off, part)
+
+    _run_chunks(m, threads, grid.steps, k, _CHUNK, run)
     return MatrixPathBundle(k=k, grid=grid, m=m, rpaths=rpaths, kept=kept,
                             matrices=matrices)
 

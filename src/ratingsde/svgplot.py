@@ -27,11 +27,6 @@ def _points_template(x) -> str:
     return " ".join([f"{v:.2f},%.2f" for v in np.asarray(x, dtype=float).tolist()])
 
 
-def _points(x, y) -> str:
-    """'x,y' pairs joined by spaces, each coordinate formatted like _f."""
-    return _points_template(x) % tuple(np.asarray(y, dtype=float).tolist())
-
-
 def _cycle_colors(n: int) -> list[str]:
     return [_COLORS[i % len(_COLORS)] for i in range(n)]
 

@@ -67,6 +67,17 @@ class TestHistResidual:
         r2 = hist_residual(calibrated_params, spec, noise.copy())
         assert np.array_equal(r1, r2)
 
+    def test_overflowing_trial_point_gives_nan_on_any_thread_count(self, reconstructed):
+        # a=400 with b=sigma=3 overflows |Y|^a within the year; the fit
+        # rejects such a point by its NaN residual
+        spec = HistCalibrationSpec(target_rec=reconstructed, target_adj=reconstructed,
+                                   seed=0, m=20, grid=TimeGrid(1.0, 120))
+        noise = draw_noise(4, spec.grid, spec.m, spec.seed)
+        r1, r2 = (hist_residual(flat_params(4, 400.0, 3.0, 3.0), spec, noise, threads)
+                  for threads in (1, 2))
+        assert np.isnan(r1).any()
+        assert np.array_equal(r1, r2, equal_nan=True)
+
 
 class TestCalibrateHistorical:
     def test_recovers_deterministic_self_target(self):

@@ -25,7 +25,7 @@ from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              read_rating_csv, write_params_csv, write_rating_csv)
-from ratingsde.svgplot import _Panel, _points, trajectory_fans
+from ratingsde.svgplot import _Panel, _points_template, trajectory_fans
 
 from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, recorded_ssa, run_cli
 
@@ -96,7 +96,7 @@ class TestSvgPlot:
         y = np.array([-0.125, 0.005, -0.0, 12.345, 0.625, -7.5, 1.115, -2.5])
         ref = " ".join(f"{format(float(a), '.2f')},{format(float(b), '.2f')}"
                        for a, b in zip(x, y))
-        assert _points(x, y) == ref
+        assert _points_template(x) % tuple(y.tolist()) == ref
         assert "-0.00" in ref and "0.12" in ref and "0.38" in ref
 
     def test_polylines_match_per_coordinate_format(self):
@@ -286,6 +286,17 @@ def _edit_config(workdir, edits):
     return cfg
 
 
+def _edit_cells(path, edits):
+    """Set cells of a CSV file: edits maps a 1-based line to {column: token}."""
+    rows = path.read_text().splitlines()
+    for line, cells in edits.items():
+        row = rows[line - 1].split(",")
+        for column, token in cells.items():
+            row[column - 1] = token
+        rows[line - 1] = ",".join(row)
+    path.write_text("\n".join(rows) + "\n")
+
+
 def _write_overflowing_params(workdir):
     """a=400 with b=sigma=3 overflows |Y|^a within the first year."""
     labels, a, b, sigma = read_params_csv(workdir / "params.csv")
@@ -426,6 +437,34 @@ class TestCliCommands:
         assert threading.get_ident() not in ran_on[3]
         assert sorted(artifacts[3]) == names
         assert artifacts[1] == artifacts[3]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one worker")
+    @pytest.mark.parametrize("command, names", [
+        ("calibrate-hist", ["params.csv", "run_summary.json"]),
+        ("calibrate-rn", ["rn_result.csv", "run_summary.json"]),
+    ])
+    def test_calibrations_do_not_depend_on_the_thread_count(self, workdir, monkeypatch,
+                                                            command, names):
+        cfg = _edit_config(workdir, {"grid.steps_per_year = 24": "grid.steps_per_year = 12",
+                                     "measure.kind = historical": "measure.kind = exponential"})
+        cfg.write_text(cfg.read_text() + "hist.m = 20\nhist.max_iter = 1\nrn.m = 20\n")
+        products, idents = sde._products, []
+        monkeypatch.setattr(sde, "_products", lambda *a, **kw: (
+            idents.append(threading.get_ident()) or products(*a, **kw)))
+        artifacts, ran_on = {}, {}
+        for threads in (1, 2, 3):
+            idents.clear()
+            out = workdir / f"threads{threads}"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                             "--threads", str(threads)]) == 0
+            ran_on[threads] = set(idents)
+            artifacts[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(artifacts[1]) == names
+        assert artifacts[1] == artifacts[2] == artifacts[3]
+        # the terminal pass runs on the caller at one thread, and on two
+        # workers while the caller waits at two
+        assert ran_on[1] == {threading.get_ident()}
+        assert len(ran_on[2]) == 2 and threading.get_ident() not in ran_on[2]
 
     def test_threads_never_exceed_the_chunks_or_cores(self, workdir, monkeypatch):
         # 40 trajectories in 6 chunks of 7, asked for on 64 threads
@@ -570,12 +609,7 @@ class TestCliCommands:
     ])
     def test_non_finite_input_number_exits_one(self, workdir, command, name, line,
                                                column, token):
-        path = workdir / name
-        rows = path.read_text().splitlines()
-        cells = rows[line - 1].split(",")
-        cells[column - 1] = token
-        rows[line - 1] = ",".join(cells)
-        path.write_text("\n".join(rows) + "\n")
+        _edit_cells(workdir / name, {line: {column: token}})
         cfg = workdir / "run.cfg"
         cfg.write_text(cfg.read_text().replace("measure.kind = historical",
                                                "measure.kind = exponential")
@@ -589,16 +623,56 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("column, name", [(2, "a"), (3, "b"), (4, "sigma")])
     def test_negative_parameter_names_the_file_and_line(self, workdir, column, name):
-        path = workdir / "params.csv"
-        rows = path.read_text().splitlines()
-        cells = rows[2].split(",")                  # coordinate 1-3
-        cells[column - 1] = "-1"
-        rows[2] = ",".join(cells)
-        path.write_text("\n".join(rows) + "\n")
+        _edit_cells(workdir / "params.csv", {3: {column: "-1"}})     # coordinate 1-3
         res = run_cli("simulate", "--config", "run.cfg", "--out", "o", cwd=workdir)
         assert res.returncode == 1, res.stderr
         assert (f"validation error: params.csv: line 3, column {column}: "
                 f"{name} must be nonnegative, got -1.0") in res.stderr
+        assert list((workdir / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["reconstruct", "calibrate-hist"])
+    @pytest.mark.parametrize("edits, line, rule", [
+        ({3: {4: "-0.5"}}, 3, "reconstructed entries must lie in [0, 1]"),   # B -> C
+        ({3: {4: "2"}}, 3, "reconstructed entries must lie in [0, 1]"),
+        ({3: {4: "5"}}, 3, "reconstructed entries must lie in [0, 1]"),
+        ({3: {4: "-1e308"}}, 3, "reconstructed entries must lie in [0, 1]"),
+        ({3: {4: "0.5"}}, 3, "reconstructed row sums must be 1"),
+        ({5: {4: "0.5", 5: "0.5"}}, 5, "last reconstructed row must be the last unit vector"),
+    ])
+    def test_broken_reconstruction_names_the_file_and_line(self, workdir, capsys, command,
+                                                           edits, line, rule):
+        path = workdir / "reconstructed_1y.csv"
+        _edit_cells(path, edits)
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + "hist.m = 10\nhist.max_iter = 1\n")
+        assert cli.main([command, "--config", str(cfg), "--out", str(workdir / "o")]) == 1
+        assert f"validation error: {path}: line {line}: {rule}\n" in capsys.readouterr().err
+        assert list((workdir / "o").iterdir()) == []
+
+    def test_reconstruction_within_print_precision_is_accepted(self, workdir):
+        # the bundled file's rows are off by up to 6.0e-6; 9e-6 more still passes
+        _edit_cells(workdir / "reconstructed_1y.csv", {5: {4: "9e-06"}})
+        assert cli.main(["reconstruct", "--config", str(workdir / "run.cfg"),
+                         "--out", str(workdir / "o")]) == 0
+
+    @pytest.mark.parametrize("name, edits, message", [
+        ("pd_case1.csv", {3: {2: "1e308"}},
+         "line 3, column 2: PD targets must lie in [0, 1], got 1e+308"),
+        ("cohort_1y.csv", {3: {3: "-0.5"}}, "line 3: cohort entries must lie in [0, 1]"),
+        ("cohort_1y.csv", {2: {3: "0.5"}}, "line 2: cohort row sums must not exceed 1"),
+        ("cohort_1y.csv", {5: {5: "0.5"}},
+         "line 5: last cohort row must be the last unit vector"),
+    ])
+    def test_out_of_range_input_names_the_file_and_line(self, workdir, capsys, name,
+                                                        edits, message):
+        path = workdir / name
+        _edit_cells(path, edits)
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text().replace("measure.kind = historical",
+                                               "measure.kind = exponential"))
+        command = "calibrate-rn" if name == "pd_case1.csv" else "reconstruct"
+        assert cli.main([command, "--config", str(cfg), "--out", str(workdir / "o")]) == 1
+        assert f"validation error: {path}: {message}\n" in capsys.readouterr().err
         assert list((workdir / "o").iterdir()) == []
 
     def test_simulate_non_finite_exits_two(self, workdir):

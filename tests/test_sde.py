@@ -1,6 +1,10 @@
 """Coefficient SDE, measure changes, geometric Euler scheme, densities."""
 
+import _thread
 import itertools
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -142,6 +146,36 @@ class TestSimulatePaths:
             simulate_paths_threaded(calibrated_params, HISTORICAL, g, 600, 5,
                                     keep_times=[1.0], threads=0)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one worker")
+    def test_interrupt_starts_no_further_chunk(self, monkeypatch):
+        # 40 trajectories in 6 chunks of 7 on 2 workers; chunk 0 interrupts
+        # the caller, mostly while it is still starting the workers, and
+        # every chunk then holds until the interrupted caller waits for the
+        # workers to stop
+        started, hold = [], threading.Event()
+        join = threading.Thread.join
+
+        def joining(thread, *args, **kwargs):
+            if isinstance(sys.exc_info()[1], KeyboardInterrupt):
+                hold.set()
+            return join(thread, *args, **kwargs)
+
+        def run(offset, buffer):
+            started.append(offset)
+            if offset == 0:
+                _thread.interrupt_main()
+            hold.wait(timeout=60)
+
+        monkeypatch.setattr(threading.Thread, "join", joining)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            sde._run_chunks(40, 2, 12, 4, 7, run)
+        # the caller, not the timeout, released the held chunks, and no
+        # worker started a chunk after that
+        assert hold.is_set()
+        assert sorted(started) in ([0], [0, 7])
+        assert threading.active_count() == before
+
     def test_matrices_at_a_time_not_kept_raises(self, calibrated_params):
         bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
                                          TimeGrid(1.0, 15), 20, 5, keep_times=[1.0])
@@ -192,8 +226,13 @@ class TestSimulatePaths:
     def test_terminal_matches_full_simulation(self, calibrated_params):
         g = TimeGrid(1.0, 15)
         bundle = simulate_paths(calibrated_params, HISTORICAL, g, 6, 9, keep_times=[1.0])
-        rt = simulate_terminal(calibrated_params, HISTORICAL, g, draw_noise(4, g, 6, 9))
-        assert np.array_equal(bundle.matrices_at(1.0), rt)
+        noise = draw_noise(4, g, 6, 9)
+        for threads in (1, 2, 3):           # the noise in one part per worker
+            rt = simulate_terminal(calibrated_params, HISTORICAL, g, noise, threads)
+            assert np.array_equal(bundle.matrices_at(1.0), rt)
+        assert np.array_equal(noise, draw_noise(4, g, 6, 9))     # the noise stays frozen
+        with pytest.raises(ValidationError, match="threads must be >= 1"):
+            simulate_terminal(calibrated_params, HISTORICAL, g, noise, 0)
 
     @pytest.mark.parametrize("shape", [(0, 15, 9), (6, 14, 9), (6, 15, 4), (15, 9)])
     def test_terminal_rejects_misshapen_noise(self, calibrated_params, shape):
