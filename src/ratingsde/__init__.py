@@ -13,8 +13,8 @@ from .cohort import (CohortMatrix, WeightMatrix, adjusted_matrix,
                      withdrawal_rates)
 from .sde import (HISTORICAL, MatrixPathBundle, MeasureChange, SdeParams,
                   TimeGrid, default_grid, draw_noise, girsanov_density,
-                  kappa_from_h, mean_matrix, simulate_paths,
-                  simulate_paths_threaded, simulate_terminal, var_matrix)
+                  kappa_from_h, mean_matrix, simulate_paths_threaded,
+                  simulate_terminal, var_matrix)
 from .calibrate import (HistCalibrationSpec, PdTargets, PropertyReport,
                         calibrate_historical, calibrate_risk_neutral,
                         hist_residual, property_report, rn_residual)

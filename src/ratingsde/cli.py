@@ -32,7 +32,8 @@ from .calibrate import (RN_BOUNDS, HistCalibrationSpec, PdTargets, calibrate_his
                         calibrate_risk_neutral, coordinate_labels,
                         property_report)
 from .cohort import (CohortMatrix, RepairOutputs, WeightMatrix, cohort_fault,
-                     proportional_weights, reconstruction_fault, repair, uniform_weights)
+                     proportional_weights, reconstruction_fault, repair, uniform_weights,
+                     weight_fault)
 from .config import RunConfig
 from .ctmc import simulate_nested_paths, simulation_error
 from .errors import NumericalError, RatingSdeError, ValidationError
@@ -142,7 +143,8 @@ def _weights(cfg: RunConfig, cohort: CohortMatrix) -> WeightMatrix:
     if kind == "proportional":
         return proportional_weights(cohort)
     if kind == "file":
-        return WeightMatrix(_read_rated(cfg, "weights.file"))
+        return WeightMatrix(_read_rated(cfg, "weights.file",
+                                        partial(read_rating_csv, check=weight_fault)))
     raise ValidationError(f"weights.kind must be uniform|proportional|file, got {kind!r}")
 
 

@@ -29,6 +29,13 @@ reconstruction_fault = partial(validate_stochastic, tol=RECONSTRUCTED_TOL,
                                what="reconstructed")
 
 
+def weight_fault(entries: np.ndarray) -> tuple[int, str] | None:
+    """(row, message) of the first row of a weight matrix with an entry
+    that is not strictly positive (NaN included), or None."""
+    bad = np.nonzero(~(entries > 0).all(axis=1))[0]
+    return (int(bad[0]), "weights must be strictly positive") if bad.size else None
+
+
 @dataclass(frozen=True)
 class CohortMatrix:
     """K x K nonnegative matrix; rows may sum to <= 1; last row absorbing."""
@@ -57,8 +64,9 @@ class WeightMatrix:
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square weight matrix, got {m.shape}")
-        if m.min() <= 0:
-            raise ValidationError("weights must be strictly positive")
+        fault = weight_fault(m)
+        if fault:
+            raise ValidationError(f"row {fault[0] + 1}: {fault[1]}")
 
 
 def uniform_weights(k: int) -> WeightMatrix:

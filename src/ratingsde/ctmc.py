@@ -34,8 +34,8 @@ def piecewise_generators(bundle: MatrixPathBundle) -> np.ndarray:
     """
     inc = bundle.increments
     if inc is None:
-        raise ValidationError("the bundle holds no increments; simulate it with "
-                              "simulate_paths, not simulate_paths_threaded")
+        raise ValidationError("the bundle holds no increments; only the part that "
+                              "each_chunk receives from simulate_paths_threaded does")
     return (inc / bundle.grid.dt).reshape(inc.shape[:2] + (bundle.k - 1,) * 2)
 
 
@@ -176,7 +176,7 @@ def simulate_nested_paths(params: SdeParams, measure: MeasureChange, grid: TimeG
     m2 rating paths on each from every rating in `initial` inside
     simulate_paths_threaded's each_chunk, on up to `threads` threads;
     returns (bundle, {rating: NestedPaths}), bit for bit
-    sample_from_bundle's on one simulate_paths call."""
+    sample_from_bundle's on a bundle of all m1 trajectories' increments."""
     nested = _nested_outputs(params.k, grid.steps, m1, m2, initial)
     bundle = simulate_paths_threaded(
         params, measure, grid, m1, seed, keep_times=[grid.horizon], threads=threads,

@@ -169,8 +169,8 @@ class MatrixPathBundle:
     matrices:   (M, len(kept), K, K) the matrices R at those indices.
     rpaths:     (P, N+1, K, K) every R_k (R_0 = I) of the leading P <= M
                 trajectories, or None.
-    increments: (M, N, (K-1)^2) nonnegative per-step generator coordinates,
-                or None.
+    increments: (M, N, (K-1)^2) nonnegative per-step generator coordinates;
+                only the part that each_chunk receives holds them.
     """
 
     k: int
@@ -381,37 +381,27 @@ def _require_finite(values: np.ndarray, what: str) -> None:
                              "the simulation out of floating-point range")
 
 
-def simulate_paths(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
-                   m: int, seed: int, traj_offset: int = 0, *,
-                   keep_times: list[float], keep_paths: int = 0,
-                   out: np.ndarray | None = None) -> MatrixPathBundle:
-    """Group-preserving Euler simulation of M rating-matrix trajectories.
+def simulate_paths(params: SdeParams, measure: MeasureChange, seed: int,
+                   traj_offset: int, part: MatrixPathBundle) -> MatrixPathBundle:
+    """simulate_paths_threaded's chunk body: trajectories traj_offset ..
+    traj_offset + part.m - 1 by the group-preserving Euler scheme.
 
-    The increments dA = |Y_k|^a dt depend on the driver Y alone, so the
-    group products R_{k+1} = R_k exp(dA) are formed only when a matrix is
-    kept.  The bundle keeps R at the grid times keep_times for every
-    trajectory and every R_k of the leading keep_paths trajectories, so
-    keep_times=[] with keep_paths=0 keeps the increments only.  Given `out`,
-    an (M, N, ncoord) array, the noise and then the increments are written
-    into it, and the bundle's increments are that array.  Raises
-    NumericalError if any increment or kept matrix is non-finite.
+    The noise and then the increments go into part.increments, the
+    worker's buffer; R at the grid indices part.kept and every R_k of the
+    fan rows go into part.matrices and part.rpaths, the chunk's rows of the
+    executor's arrays.  The products R_{k+1} = R_k exp(dA) are formed only
+    when a matrix is kept.  Returns part; raises NumericalError if any
+    increment or kept matrix is non-finite.
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    k = params.k
     # the noise is overwritten by the increments, step by step
-    noise = draw_noise(k, grid, m, seed, traj_offset, out)
-    increments = _increments(params, measure, grid, noise, out=noise)
-    _require_finite(increments, "generator increments")
-    kept = tuple(sorted({grid.index_of(t) for t in keep_times}))
-    rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
-    matrices = np.empty((m, len(kept), k, k))
-    if kept or len(rpaths):
-        _products(increments, k, rpaths, kept, matrices)
-    _require_finite(matrices, "rating-matrix entries")
-    _require_finite(rpaths, "rating-matrix entries")
-    return MatrixPathBundle(k=k, grid=grid, m=m, increments=increments, rpaths=rpaths,
-                            kept=kept, matrices=matrices)
+    noise = draw_noise(part.k, part.grid, part.m, seed, traj_offset, part.increments)
+    _increments(params, measure, part.grid, noise, out=noise)
+    _require_finite(part.increments, "generator increments")
+    if part.kept or len(part.rpaths):
+        _products(part.increments, part.k, part.rpaths, part.kept, part.matrices)
+    _require_finite(part.matrices, "rating-matrix entries")
+    _require_finite(part.rpaths, "rating-matrix entries")
+    return part
 
 
 def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
@@ -441,6 +431,10 @@ def simulate_terminal(params: SdeParams, measure: MeasureChange, grid: TimeGrid,
 
 # Trajectories per simulate_paths call in simulate_paths_threaded.
 _CHUNK = 256
+# Seconds per wait of _run_chunks' caller on a worker's event: an interrupt
+# that wakes no blocked wait, as interrupt_main's does not, is seen this soon.
+# Not Thread.join: an interrupt inside it can mark a live thread stopped.
+_JOIN_POLL = 0.05
 
 
 def _chunk_buffers(m: int, threads: int, steps: int, k: int,
@@ -472,16 +466,20 @@ def _run_chunks(m: int, threads: int, steps: int, k: int, chunk: int, run) -> No
     offsets = range(0, m, size)
     buffers = [np.empty((size, *shape)) for _ in range(workers)]
     failed = []                       # (offset, error) of each chunk that raised
+    finished = [threading.Event() for _ in range(workers)]
 
     def work(worker):
-        for off in offsets[worker::workers]:
-            if any(bad < off for bad, _ in failed):
-                return
-            try:
-                run(off, buffers[worker][:min(size, m - off)])
-            except Exception as exc:  # raised on the calling thread below
-                failed.append((off, exc))
-                return
+        try:
+            for off in offsets[worker::workers]:
+                if any(bad < off for bad, _ in failed):
+                    return
+                try:
+                    run(off, buffers[worker][:min(size, m - off)])
+                except Exception as exc:  # raised on the calling thread below
+                    failed.append((off, exc))
+                    return
+        finally:
+            finished[worker].set()
 
     if workers == 1:
         work(0)
@@ -490,14 +488,16 @@ def _run_chunks(m: int, threads: int, steps: int, k: int, chunk: int, run) -> No
         try:
             for thread in pool:
                 thread.start()
-            for thread in pool:
-                thread.join()
+            for done in finished:
+                while not done.wait(_JOIN_POLL):
+                    pass
         except BaseException:         # interrupted: the workers stop after their chunk
             failed.append((-1, None))
+            raise
+        finally:
             for thread in pool:
                 if thread.is_alive():
                     thread.join()
-            raise
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
 
@@ -506,15 +506,14 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
                             m: int, seed: int, *, keep_times: list[float],
                             keep_paths: int = 0, each_chunk=None,
                             threads: int = 1) -> MatrixPathBundle:
-    """simulate_paths over _run_chunks' chunks of _CHUNK trajectories, each
-    chunk's noise and then increments in its worker's buffer, keeping R at
-    the grid times keep_times for every trajectory and every R_k of the
-    leading keep_paths trajectories.  Every draw is keyed on its global
-    trajectory index, so the kept arrays and each chunk's increments equal
-    the same slices of one simulate_paths call bit for bit, whatever the
-    thread count.  each_chunk(offset, part), if given, is called within each
-    chunk with its bundle, increments included; part's arrays are valid
-    only during the call.
+    """Group-preserving Euler simulation of m rating-matrix trajectories,
+    keeping R at the grid times keep_times for every trajectory and every
+    R_k of the leading keep_paths trajectories.  Each of _run_chunks'
+    chunks of _CHUNK trajectories runs in simulate_paths, which writes
+    straight into the returned arrays.  Every draw is keyed on its global
+    trajectory index, so no bit depends on the chunking or thread count.
+    each_chunk(offset, part), if given, is called within each chunk with
+    its bundle, increments included; they are valid only during the call.
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -524,11 +523,10 @@ def simulate_paths_threaded(params: SdeParams, measure: MeasureChange, grid: Tim
     rpaths = np.empty((min(m, keep_paths), grid.steps + 1, k, k))
 
     def run(off, buffer):
-        part = simulate_paths(params, measure, grid, len(buffer), seed, traj_offset=off,
-                              keep_times=keep_times, keep_paths=max(0, keep_paths - off),
-                              out=buffer)
-        matrices[off:off + part.m] = part.matrices
-        rpaths[off:off + len(part.rpaths)] = part.rpaths
+        rows = slice(off, off + len(buffer))
+        part = simulate_paths(params, measure, seed, off, MatrixPathBundle(
+            k=k, grid=grid, m=len(buffer), increments=buffer, rpaths=rpaths[rows],
+            kept=kept, matrices=matrices[rows]))
         if each_chunk is not None:
             each_chunk(off, part)
 

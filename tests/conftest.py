@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import ratingsde
-from ratingsde import CohortMatrix, SdeParams, piecewise_generators
+from ratingsde import (CohortMatrix, SdeParams, piecewise_generators,
+                       simulate_paths_threaded)
 from ratingsde import datasets
 from ratingsde.ctmc import _SSA_STREAM_TAG, _ssa_batch
 from ratingsde.sde import _philox_key
@@ -59,6 +60,20 @@ def off_diagonal(gen: np.ndarray) -> np.ndarray:
     k = gen.shape[-1]
     rows, cols = np.nonzero(~np.eye(k, dtype=bool)[:-1])
     return gen[..., rows, cols].reshape(gen.shape[:-2] + (k - 1, k - 1))
+
+
+def simulate_with_increments(params, measure, grid, m, seed, **kwargs):
+    """``simulate_paths_threaded``, with the returned bundle's increments set
+    to every chunk's, in trajectory order.  Each chunk's part holds its
+    increments in its worker's buffer, which the next chunk reuses, so
+    ``each_chunk`` copies them."""
+    parts = {}
+    bundle = simulate_paths_threaded(
+        params, measure, grid, m, seed,
+        each_chunk=lambda off, part: parts.update({off: part.increments.copy()}),
+        **kwargs)
+    bundle.increments = np.concatenate([parts[off] for off in sorted(parts)])
+    return bundle
 
 
 def ssa_both_modes(gens, m2: int, i0: int, grid, key, occupancy):

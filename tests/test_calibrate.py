@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ratingsde import (HISTORICAL, MatrixPathBundle, SdeParams, TimeGrid,
-                       ValidationError, property_report, simulate_paths)
+                       ValidationError, property_report, simulate_paths_threaded)
 from ratingsde.calibrate import (RN_BOUNDS, HistCalibrationSpec, PdTargets,
                                  _levenberg_marquardt, calibrate_historical,
                                  calibrate_risk_neutral, coordinate_labels,
@@ -171,8 +171,8 @@ class TestPropertyReport:
     def test_identity_bundle_has_no_violations(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
         checkpoints = [0.25, 0.5, 1.0]
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 12), 5, 0,
-                                keep_times=checkpoints)
+        bundle = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 12), 5, 0,
+                                         keep_times=checkpoints)
         rep = property_report(bundle, checkpoints)
         for stats in rep.all_stats().values():
             for st in stats:
@@ -188,8 +188,9 @@ class TestPropertyReport:
 
     def test_calibrated_bundle_small_early_violations(self, calibrated_params):
         checkpoints = [1 / 12, 0.25, 0.5, 1.0]
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 120), 300, 8, keep_times=checkpoints)
+        bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
+                                         TimeGrid(1.0, 120), 300, 8,
+                                         keep_times=checkpoints)
         rep = property_report(bundle, checkpoints)
         late = [st for stats in rep.all_stats().values() for st in stats
                 if not isinstance(st.checkpoint, tuple) and st.checkpoint >= 0.25]
@@ -198,8 +199,8 @@ class TestPropertyReport:
         assert early_mono.violation_fraction <= 0.10
 
     def test_needs_two_checkpoints_for_decreasing_diagonal(self, calibrated_params):
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 5, 0, keep_times=[1.0])
+        bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
+                                         TimeGrid(1.0, 12), 5, 0, keep_times=[1.0])
         rep = property_report(bundle, [1.0])
         assert rep.decreasing_diagonal == []
 

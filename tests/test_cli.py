@@ -18,8 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratingsde import (HISTORICAL, NumericalError, PortfolioSpec, SdeParams, TimeGrid,
-                       ValidationError, empirical_transition, simulate_paths,
-                       simulate_xva_paths)
+                       ValidationError, empirical_transition, simulate_xva_paths)
 from ratingsde import cli, sde
 from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
@@ -27,7 +26,8 @@ from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              read_rating_csv, write_params_csv, write_rating_csv)
 from ratingsde.svgplot import _Panel, _points_template, trajectory_fans
 
-from conftest import ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, recorded_ssa, run_cli
+from conftest import (ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, recorded_ssa, run_cli,
+                      simulate_with_increments)
 
 
 class TestMatIo:
@@ -662,14 +662,19 @@ class TestCliCommands:
         ("cohort_1y.csv", {2: {3: "0.5"}}, "line 2: cohort row sums must not exceed 1"),
         ("cohort_1y.csv", {5: {5: "0.5"}},
          "line 5: last cohort row must be the last unit vector"),
+        ("weights.csv", {3: {4: "-2"}}, "line 3: weights must be strictly positive"),
     ])
     def test_out_of_range_input_names_the_file_and_line(self, workdir, capsys, name,
                                                         edits, message):
         path = workdir / name
-        _edit_cells(path, edits)
         cfg = workdir / "run.cfg"
-        cfg.write_text(cfg.read_text().replace("measure.kind = historical",
-                                               "measure.kind = exponential"))
+        text = cfg.read_text().replace("measure.kind = historical",
+                                       "measure.kind = exponential")
+        if name == "weights.csv":
+            write_rating_csv(path, ["A", "B", "C", "D"], np.ones((4, 4)))
+            text += "weights.kind = file\nweights.file = weights.csv\n"
+        cfg.write_text(text)
+        _edit_cells(path, edits)
         command = "calibrate-rn" if name == "pd_case1.csv" else "reconstruct"
         assert cli.main([command, "--config", str(cfg), "--out", str(workdir / "o")]) == 1
         assert f"validation error: {path}: {message}\n" in capsys.readouterr().err
@@ -868,8 +873,8 @@ class TestCliCommands:
         assert res.returncode == 0, res.stderr
         _, a, b, sigma = read_params_csv(workdir / "params.csv")
         grid = TimeGrid(1.0, 24)
-        bundle = simulate_paths(SdeParams(k=4, a=a, b=b, sigma=sigma),
-                                HISTORICAL, grid, 10, 42, keep_times=[1.0])
+        bundle = simulate_with_increments(SdeParams(k=4, a=a, b=b, sigma=sigma),
+                                          HISTORICAL, grid, 10, 42, keep_times=[1.0])
         states = {i0: recorded_ssa(bundle, 40, i0, 42)[0] for i0 in (2, 4)}
         for t, tag in ((0.25, "0.25"), (0.5, "0.5"), (1.0, "1")):
             header, written = _occupancy_rows(workdir / "g" / f"occupancy_t{tag}.csv")

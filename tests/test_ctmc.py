@@ -9,14 +9,15 @@ from scipy.linalg import expm
 
 from ratingsde import (HISTORICAL, SdeParams, TimeGrid, ValidationError,
                        empirical_transition, piecewise_generators,
-                       simulate_nested_paths, simulate_paths, simulate_paths_threaded,
+                       simulate_nested_paths, simulate_paths_threaded,
                        simulation_error)
 from ratingsde import ctmc, sde
 from ratingsde.ctmc import _ssa_batch, sample_from_bundle
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 from ratingsde.sde import _philox_key
 
-from conftest import off_diagonal, recorded_ssa, ssa_both_modes
+from conftest import (off_diagonal, recorded_ssa, simulate_with_increments,
+                      ssa_both_modes)
 
 
 def flat_params(k, a, b, sigma):
@@ -41,8 +42,8 @@ CONST_GEN = np.array([
 class TestPiecewiseGenerators:
     def test_zero_increments_give_zero_generators(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0,
-                                keep_times=[])
+        bundle = simulate_with_increments(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0,
+                                          keep_times=[])
         gens = piecewise_generators(bundle)
         assert np.array_equal(gens, np.zeros((2, 5, 3, 3)))
 
@@ -51,15 +52,16 @@ class TestPiecewiseGenerators:
         params = flat_params(4, 1.0, 0.0, 0.0)
         bundle = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 5), 3, 0,
                                          keep_times=[1.0])
-        with pytest.raises(ValidationError, match="holds no increments"):
+        with pytest.raises(ValidationError,
+                           match="holds no increments; only the part that each_chunk"):
             sample_from_bundle(bundle, 2, [1], 0)
 
     def test_constant_rate_k2(self):
         lam = 0.6
         params = SdeParams(k=2, a=np.array([1.0]), b=np.array([0.0]),
                            sigma=np.array([0.0]), y0=np.array([lam]))
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 4), 1, 0,
-                                keep_times=[])
+        bundle = simulate_with_increments(params, HISTORICAL, TimeGrid(1.0, 4), 1, 0,
+                                          keep_times=[])
         gens = piecewise_generators(bundle)
         assert np.allclose(gens, np.broadcast_to(
             off_diagonal(np.array([[-lam, lam], [0.0, 0.0]])), (1, 4, 1, 1)),
@@ -67,8 +69,8 @@ class TestPiecewiseGenerators:
 
     def test_exp_of_generator_reproduces_step_factor(self, calibrated_params):
         grid = TimeGrid(1.0, 10)
-        bundle = simulate_paths(calibrated_params, HISTORICAL, grid, 3, 4,
-                                keep_times=[], keep_paths=3)
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL, grid, 3, 4,
+                                          keep_times=[], keep_paths=3)
         gens = coeffs_to_matrices(
             piecewise_generators(bundle).reshape(3, 10, 9), 4)
         rp = bundle.rpaths
@@ -88,8 +90,8 @@ class TestPiecewiseGenerators:
                                b=np.linspace(0.1, 2.0, (k - 1) ** 2),
                                sigma=np.linspace(0.2, 1.5, (k - 1) ** 2),
                                y0=np.linspace(0.05, 3.0, (k - 1) ** 2))
-            bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 24), 5, k,
-                                    keep_times=[])
+            bundle = simulate_with_increments(params, HISTORICAL, TimeGrid(1.0, 24), 5, k,
+                                              keep_times=[])
             inten = piecewise_generators(bundle)
             gens = coeffs_to_matrices(bundle.increments / bundle.grid.dt, k)
             assert inten.shape == (5, 24, k - 1, k - 1)
@@ -205,8 +207,8 @@ class TestSsaBatch:
         # path p draws from counter (path_offset + p, event): a call over
         # sequence 0 and one over sequences 1-3 with path_offset m2 equal
         # one call over all four bit for bit, from every start rating
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 24), 4, 3, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 24), 4, 3, keep_times=[])
         gens = piecewise_generators(bundle) * 50.0   # several jumps per path
         p = 2000
         m2 = p // 4
@@ -235,8 +237,8 @@ class TestOccupancy:
     def test_batch_occupancy_counts_the_returned_states(self, calibrated_params):
         # fast and calibrated time-varying generators, one active only in the
         # last interval, one that never moves; every start rating
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 24), 2, 3, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 24), 2, 3, keep_times=[])
         gens = piecewise_generators(bundle)
         last_only = np.zeros_like(gens[:1])
         last_only[0, -1] = off_diagonal(CONST_GEN) * 20.0
@@ -262,8 +264,8 @@ class TestOccupancy:
         # every start rating, the absorbing one included, over four
         # sequences plus a fifth that never moves; the array starts out
         # holding garbage, which every column must overwrite
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 4, 5, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 12), 4, 5, keep_times=[])
         gens = np.concatenate([piecewise_generators(bundle) * 30.0,
                                np.zeros_like(piecewise_generators(bundle)[:1])])
         p, g, n = 900, 5, bundle.grid.steps
@@ -282,8 +284,8 @@ class TestOccupancy:
         assert moved                                     # later columns moved
 
     def test_nested_occupancy_counts_the_states(self, calibrated_params):
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 12), 3, 4, keep_times=[])
         for seed in (0, 1):
             by_i0 = sample_from_bundle(bundle, 400, [1, 2, 3, 4], seed)
             for i0, nested in by_i0.items():
@@ -295,8 +297,8 @@ class TestOccupancy:
         # sample_from_bundle builds no states and shares one generator
         # tensor across the ratings; its outputs equal, bit for bit, those of
         # each rating's own _ssa_batch call with states recorded
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 12), 3, 4, keep_times=[])
         for seed in (0, 1):
             by_i0 = sample_from_bundle(bundle, 400, [1, 2, 3, 4], seed)
             assert list(by_i0) == [1, 2, 3, 4]
@@ -314,14 +316,14 @@ class TestOccupancy:
         build, calls = ctmc.piecewise_generators, []
         monkeypatch.setattr(ctmc, "piecewise_generators",
                             lambda bundle: calls.append(1) or build(bundle))
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 12), 3, 4, keep_times=[])
         assert len(sample_from_bundle(bundle, 10, [1, 2, 3], 0)) == 3
         assert len(calls) == 1
 
     def test_sampling_rejects_an_initial_rating_off_the_scale(self, calibrated_params):
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 12), 3, 4, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 12), 3, 4, keep_times=[])
         with pytest.raises(ValidationError, match="initial rating"):
             sample_from_bundle(bundle, 10, [1, 5], 0)
 
@@ -329,8 +331,8 @@ class TestOccupancy:
         # the (M1*M2, N+1) int8 state matrix alone would take 2.40 MB here
         m1, m2 = 2, 1000
         grid = TimeGrid(1.0, 1200)
-        bundle = simulate_paths(calibrated_params, HISTORICAL, grid, m1, 0,
-                                keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL, grid, m1, 0,
+                                          keep_times=[])
         tracemalloc.start()
         try:
             nested = sample_from_bundle(bundle, m2, [1], 0)[1]
@@ -382,13 +384,14 @@ class TestNestedSimulate:
 
     def test_chunked_sampling_equals_one_call(self, calibrated_params, monkeypatch):
         # 20 trajectories in chunks of 7: every output equals, bit for bit,
-        # sampling the bundle of one simulate_paths call
+        # sampling the bundle of one chunk of 20
         grid = TimeGrid(1.0, 12)
+        monkeypatch.setattr(sde, "_CHUNK", 20)
+        whole = simulate_with_increments(calibrated_params, HISTORICAL, grid, 20, 4,
+                                         keep_times=[1.0])
         monkeypatch.setattr(sde, "_CHUNK", 7)
         bundle, nested = simulate_nested_paths(calibrated_params, HISTORICAL, grid,
                                                20, 30, [1, 2, 3], 4)
-        whole = simulate_paths(calibrated_params, HISTORICAL, grid, 20, 4,
-                               keep_times=[1.0])
         assert np.array_equal(bundle.matrices, whole.matrices)
         for i0, expect in sample_from_bundle(whole, 30, [1, 2, 3], 4).items():
             for name in ("default_time", "predefault", "occupancy"):
@@ -400,8 +403,8 @@ class TestNestedSimulate:
 class TestEmpiricalTransition:
     def test_frozen_chain_gives_identity_rows(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 1, 0,
-                                keep_times=[])
+        bundle = simulate_with_increments(params, HISTORICAL, TimeGrid(1.0, 5), 1, 0,
+                                          keep_times=[])
         groups = {i0: recorded_ssa(bundle, 20, i0, 0)[0] for i0 in (1, 2, 3)}
         emp, present = empirical_transition(groups, 1.0, bundle.grid, 4)
         assert present == [1, 2, 3]
@@ -413,7 +416,7 @@ class TestEmpiricalTransition:
         params = SdeParams(k=2, a=np.array([1.0]), b=np.array([0.0]),
                            sigma=np.array([0.0]), y0=np.array([lam]))
         grid = TimeGrid(1.0, 8)
-        bundle = simulate_paths(params, HISTORICAL, grid, 1, 0, keep_times=[])
+        bundle = simulate_with_increments(params, HISTORICAL, grid, 1, 0, keep_times=[])
         n = 20000
         groups = {1: recorded_ssa(bundle, n, 1, 0)[0]}
         emp, _ = empirical_transition(groups, 1.0, grid, 2)
@@ -422,16 +425,16 @@ class TestEmpiricalTransition:
 
     def test_simulation_error_zero_for_frozen_chain(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0,
-                                keep_times=[1.0])
+        bundle = simulate_with_increments(params, HISTORICAL, TimeGrid(1.0, 5), 2, 0,
+                                          keep_times=[1.0])
         nested = sample_from_bundle(bundle, 10, [1, 2, 3], 0)
         assert simulation_error(bundle, nested, 1.0) <= 1e-12
 
     def test_simulation_error_over_sampled_rows(self, calibrated_params):
         # one sampled rating: the norm covers its row and the exact absorbing
         # row, divided by rows * K
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 10), 3, 5, keep_times=[1.0])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 10), 3, 5, keep_times=[1.0])
         nested = sample_from_bundle(bundle, 200, [2], 5)[2]
         states = recorded_ssa(bundle, 200, 2, 5)[0].reshape(3, 200, -1)
         emp = np.zeros((3, 2, 4))
@@ -448,8 +451,8 @@ class TestEmpiricalTransition:
         grid = TimeGrid(1.0, 5)
         bundle, nested = simulate_nested_paths(calibrated_params, HISTORICAL, grid,
                                                2, 5, [1, 2], 0)
-        other = simulate_paths(calibrated_params, HISTORICAL, grid, 3, 0,
-                               keep_times=[1.0])
+        other = simulate_paths_threaded(calibrated_params, HISTORICAL, grid, 3, 0,
+                                        keep_times=[1.0])
         assert simulation_error(bundle, nested, 1.0) > 0
         with pytest.raises(ValidationError, match="2 trajectories of paths, 3 in"):
             simulation_error(other, nested, 1.0)

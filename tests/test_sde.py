@@ -12,13 +12,15 @@ import pytest
 
 from ratingsde import (HISTORICAL, MeasureChange, NumericalError, SdeParams,
                        TimeGrid, ValidationError, default_grid, girsanov_density,
-                       kappa_from_h, mean_matrix, simulate_paths,
-                       simulate_paths_threaded, var_matrix)
+                       kappa_from_h, mean_matrix, simulate_paths_threaded,
+                       var_matrix)
 from ratingsde import sde
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 from ratingsde.sde import (_counter_uniforms, _philox4x32, _products, draw_noise,
                            simulate_terminal)
 from ratingsde.svgplot import _FAN_PATHS
+
+from conftest import simulate_with_increments
 
 
 def flat_params(k, a, b, sigma):
@@ -55,8 +57,8 @@ class TestKappaFromH:
 class TestSimulatePaths:
     def test_degenerate_params_freeze_at_identity(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 10), 3, 0,
-                                keep_times=[], keep_paths=3)
+        bundle = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 10), 3, 0,
+                                         keep_times=[], keep_paths=3)
         assert np.allclose(bundle.rpaths,
                            np.broadcast_to(np.eye(4), (3, 11, 4, 4)))
 
@@ -65,13 +67,13 @@ class TestSimulatePaths:
         lam = 0.8
         grid = TimeGrid(1.0, 4000)
         params = flat_params(2, 1.0, lam, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, grid, 1, 0, keep_times=[1.0])
+        bundle = simulate_paths_threaded(params, HISTORICAL, grid, 1, 0, keep_times=[1.0])
         p12 = bundle.matrices_at(1.0)[0, 0, 1]
         assert p12 == pytest.approx(1.0 - np.exp(-lam / 2.0), abs=2e-4)
 
     def test_all_steps_row_stochastic(self, calibrated_params):
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 30), 50, 1, keep_times=[], keep_paths=50)
+        bundle = simulate_paths_threaded(calibrated_params, HISTORICAL, TimeGrid(1.0, 30),
+                                         50, 1, keep_times=[], keep_paths=50)
         rp = bundle.rpaths
         assert np.abs(rp.sum(axis=-1) - 1.0).max() <= 1e-9
         assert rp.min() >= 0.0 and rp.max() <= 1.0 + 1e-12
@@ -79,8 +81,8 @@ class TestSimulatePaths:
             np.eye(4)[-1], rp[:, :, -1, :].shape))
 
     def test_increments_nonnegative(self, calibrated_params):
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 20), 10, 2, keep_times=[])
+        bundle = simulate_with_increments(calibrated_params, HISTORICAL,
+                                          TimeGrid(1.0, 20), 10, 2, keep_times=[])
         assert bundle.increments.min() >= 0.0
 
     def test_measure_change_equals_drift_shift_bitwise(self):
@@ -91,23 +93,26 @@ class TestSimulatePaths:
         kappa = kappa_from_h(measure, 4)
         shifted = SdeParams(k=4, a=params.a, b=params.b + params.sigma * kappa,
                             sigma=params.sigma)
-        b_q = simulate_paths(params, measure, grid, 20, 3, keep_times=[], keep_paths=20)
-        b_p = simulate_paths(shifted, HISTORICAL, grid, 20, 3, keep_times=[],
-                             keep_paths=20)
+        b_q = simulate_paths_threaded(params, measure, grid, 20, 3, keep_times=[],
+                                      keep_paths=20)
+        b_p = simulate_paths_threaded(shifted, HISTORICAL, grid, 20, 3, keep_times=[],
+                                      keep_paths=20)
         assert np.array_equal(b_q.rpaths, b_p.rpaths)
 
     def test_seed_determinism(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        b1 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11, keep_times=[],
-                            keep_paths=8)
-        b2 = simulate_paths(calibrated_params, HISTORICAL, g, 8, 11, keep_times=[],
-                            keep_paths=8)
+        b1 = simulate_paths_threaded(calibrated_params, HISTORICAL, g, 8, 11,
+                                     keep_times=[], keep_paths=8)
+        b2 = simulate_paths_threaded(calibrated_params, HISTORICAL, g, 8, 11,
+                                     keep_times=[], keep_paths=8)
         assert np.array_equal(b1.rpaths, b2.rpaths)
 
-    def test_chunked_matches_single_call_bitwise(self, calibrated_params):
+    def test_chunked_matches_single_call_bitwise(self, calibrated_params, monkeypatch):
         g = TimeGrid(1.0, 15)
-        single = simulate_paths(calibrated_params, HISTORICAL, g, 600, 5,
-                                keep_times=[], keep_paths=600)
+        with monkeypatch.context() as patch:
+            patch.setattr(sde, "_CHUNK", 600)       # the reference runs in one chunk
+            single = simulate_with_increments(calibrated_params, HISTORICAL, g, 600, 5,
+                                              keep_times=[], keep_paths=600)
         for keep_paths in (50, 300, 0):
             offsets, increments = [], []
             chunked = simulate_paths_threaded(     # 3 chunks of <= 256
@@ -146,6 +151,27 @@ class TestSimulatePaths:
             simulate_paths_threaded(calibrated_params, HISTORICAL, g, 600, 5,
                                     keep_times=[1.0], threads=0)
 
+    def test_chunks_write_into_the_executor_arrays(self, calibrated_params):
+        # 600 trajectories in 3 chunks of <= 256, the fan rows in chunks 0
+        # and 1 only: each part's kept arrays are its rows of the bundle's
+        g = TimeGrid(1.0, 15)
+        for threads in (1, 2):
+            parts = {}
+            bundle = simulate_paths_threaded(
+                calibrated_params, HISTORICAL, g, 600, 5, keep_times=[0.2, 1.0],
+                keep_paths=300, threads=threads,
+                each_chunk=lambda off, part: parts.update(
+                    {off: (part.m, part.matrices, part.rpaths)}))
+            assert sorted(parts) == [0, 256, 512]
+            for off, (m, matrices, rpaths) in parts.items():
+                assert np.shares_memory(matrices, bundle.matrices)
+                assert np.shares_memory(matrices, bundle.matrices[off:off + m])
+                assert np.array_equal(matrices, bundle.matrices[off:off + m])
+                assert len(rpaths) == len(bundle.rpaths[off:off + m])
+                if len(rpaths):
+                    assert np.shares_memory(rpaths, bundle.rpaths[off:off + m])
+            assert [len(parts[off][2]) for off in (0, 256, 512)] == [256, 44, 0]
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one worker")
     def test_interrupt_starts_no_further_chunk(self, monkeypatch):
         # 40 trajectories in 6 chunks of 7 on 2 workers; chunk 0 interrupts
@@ -176,6 +202,45 @@ class TestSimulatePaths:
         assert sorted(started) in ([0], [0, 7])
         assert threading.active_count() == before
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one worker")
+    def test_interrupt_reaches_a_caller_waiting_for_a_worker(self, monkeypatch):
+        # 40 trajectories in 6 chunks of 7 on 2 workers; chunk 0 interrupts
+        # the caller once it waits for chunk 0's worker, in a join or a timed
+        # wait, then holds until the interrupted caller joins the workers
+        waiting, hold, released = threading.Event(), threading.Event(), []
+        join, wait = threading.Thread.join, threading.Event.wait
+
+        def on_caller(timed=True):
+            if threading.current_thread() is not threading.main_thread():
+                return
+            if isinstance(sys.exc_info()[1], KeyboardInterrupt):
+                hold.set()
+            elif timed:                        # not Thread.start's own wait
+                waiting.set()
+
+        def joining(thread, *args, **kwargs):
+            on_caller()
+            return join(thread, *args, **kwargs)
+
+        def polling(event, timeout=None):
+            on_caller(timeout is not None)
+            return wait(event, timeout)
+
+        def run(offset, buffer):
+            if offset == 0:
+                assert waiting.wait(timeout=10)
+                _thread.interrupt_main()
+                released.append(hold.wait(timeout=10))
+
+        monkeypatch.setattr(threading.Thread, "join", joining)
+        monkeypatch.setattr(threading.Event, "wait", polling)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            sde._run_chunks(40, 2, 12, 4, 7, run)
+        # the caller's interrupt branch, not the timeout, released chunk 0
+        assert released == [True]
+        assert threading.active_count() == before
+
     def test_matrices_at_a_time_not_kept_raises(self, calibrated_params):
         bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
                                          TimeGrid(1.0, 15), 20, 5, keep_times=[1.0])
@@ -200,9 +265,10 @@ class TestSimulatePaths:
 
     def test_skipping_products_keeps_increments_bitwise(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        full = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[1.0],
-                              keep_paths=7)
-        lean = simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[])
+        full = simulate_with_increments(calibrated_params, HISTORICAL, g, 7, 5,
+                                        keep_times=[1.0], keep_paths=7)
+        lean = simulate_with_increments(calibrated_params, HISTORICAL, g, 7, 5,
+                                        keep_times=[])
         assert lean.kept == () and lean.matrices.size == lean.rpaths.size == 0
         assert np.array_equal(lean.increments, full.increments)
 
@@ -211,21 +277,22 @@ class TestSimulatePaths:
         monkeypatch.setattr(sde, "expm_batch",
                             lambda *a: calls.append(1) or expm_batch(*a))
         g = TimeGrid(1.0, 15)
-        simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[])
+        simulate_paths_threaded(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[])
         assert calls == []
-        simulate_paths(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[],
-                       keep_paths=1)
+        simulate_paths_threaded(calibrated_params, HISTORICAL, g, 7, 5, keep_times=[],
+                                keep_paths=1)
         assert calls
 
     def test_non_finite_increments_raise(self):
         params = flat_params(4, 400.0, 3.0, 3.0)
         with pytest.raises(NumericalError, match="non-finite"):
-            simulate_paths(params, HISTORICAL, TimeGrid(1.0, 120), 5, 0,
-                           keep_times=[])
+            simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 120), 5, 0,
+                                    keep_times=[])
 
     def test_terminal_matches_full_simulation(self, calibrated_params):
         g = TimeGrid(1.0, 15)
-        bundle = simulate_paths(calibrated_params, HISTORICAL, g, 6, 9, keep_times=[1.0])
+        bundle = simulate_paths_threaded(calibrated_params, HISTORICAL, g, 6, 9,
+                                         keep_times=[1.0])
         noise = draw_noise(4, g, 6, 9)
         for threads in (1, 2, 3):           # the noise in one part per worker
             rt = simulate_terminal(calibrated_params, HISTORICAL, g, noise, threads)
@@ -243,13 +310,13 @@ class TestSimulatePaths:
     def test_strong_convergence_under_halving(self):
         # halving dt changes the terminal matrix at O(dt) on a smoke test
         params = flat_params(4, 1.3, 0.3, 0.0)
-        ref = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 512), 1, 0,
-                             keep_times=[1.0])
+        ref = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 512), 1, 0,
+                                      keep_times=[1.0])
         r_ref = ref.matrices_at(1.0)[0]
         errs = []
         for n in (32, 64, 128):
-            b = simulate_paths(params, HISTORICAL, TimeGrid(1.0, n), 1, 0,
-                               keep_times=[1.0])
+            b = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, n), 1, 0,
+                                        keep_times=[1.0])
             errs.append(np.linalg.norm(b.matrices_at(1.0)[0] - r_ref))
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.35)
@@ -329,25 +396,25 @@ class TestGirsanovDensity:
 class TestMoments:
     def test_zero_volatility_variance_is_zero(self):
         params = flat_params(4, 1.0, 0.2, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 10), 5, 0,
-                                keep_times=[1.0])
+        bundle = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 10), 5, 0,
+                                         keep_times=[1.0])
         assert np.abs(var_matrix(bundle, 1.0)).max() == 0.0
 
     def test_single_trajectory_variance_rejected(self, calibrated_params):
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 5), 1, 0, keep_times=[1.0])
+        bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
+                                         TimeGrid(1.0, 5), 1, 0, keep_times=[1.0])
         with pytest.raises(ValidationError):
             var_matrix(bundle, 1.0)
 
     def test_identity_mean(self):
         params = flat_params(4, 1.0, 0.0, 0.0)
-        bundle = simulate_paths(params, HISTORICAL, TimeGrid(1.0, 5), 4, 0,
-                                keep_times=[1.0])
+        bundle = simulate_paths_threaded(params, HISTORICAL, TimeGrid(1.0, 5), 4, 0,
+                                         keep_times=[1.0])
         assert np.allclose(mean_matrix(bundle, 1.0), np.eye(4), atol=1e-12)
 
     def test_off_grid_time_rejected(self, calibrated_params):
-        bundle = simulate_paths(calibrated_params, HISTORICAL,
-                                TimeGrid(1.0, 7), 2, 0, keep_times=[1.0])
+        bundle = simulate_paths_threaded(calibrated_params, HISTORICAL,
+                                         TimeGrid(1.0, 7), 2, 0, keep_times=[1.0])
         with pytest.raises(ValidationError, match="not on the grid"):
             mean_matrix(bundle, 0.5)
 
