@@ -1,7 +1,7 @@
 """ratingsde: rating-transition matrices as an SDE on the group of
 stochastic matrices — repair, calibration, simulation and XVA."""
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"
 
 from .errors import NumericalError, RatingSdeError, ValidationError
 from .lie import (BasisIndexMap, StochasticMatrix, ad, basis_index_map,

@@ -117,11 +117,16 @@ def coeffs_to_matrices(coeffs: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-# Degree-8 Taylor series of exp(X) for X >= 0 with ||X||_inf <= THETA: the
-# dropped terms sum_{j>8} X^j / j! are nonnegative and at most
-# THETA^9 / 9! * e^THETA ~ 2^-53 relative to exp(X) (Al-Mohy & Higham 2011).
-_TAYLOR_DEGREE = 8
-_TAYLOR_THETA = (math.factorial(9) * 2.0 ** -53) ** (1 / 9)  # ~0.070
+# Truncated Taylor series of exp(X) for X >= 0 with ||X||_inf = lam: the
+# dropped terms sum_{j>d} X^j / j! are nonnegative and at most
+# lam^(d+1) / (d+1)! * e^lam, under 2^-53 relative to exp(X) once
+# lam <= theta_d = ((d+1)! 2^-53)^(1/(d+1)) (Al-Mohy & Higham 2009).  A
+# factor with lam <= _THETA6 ~ 0.0178 takes degree 6 unscaled, in 3 matrix
+# products; the step factors of every command at paper sizes do (lam below
+# 1e-2).  Any other is scaled by 2^-s to norm <= _THETA8 ~ 0.070 and takes
+# degree 8, in 4 products, before s squarings.
+_THETA6 = (math.factorial(7) * 2.0 ** -53) ** (1 / 7)
+_THETA8 = (math.factorial(9) * 2.0 ** -53) ** (1 / 9)
 
 
 def expm_batch(a: np.ndarray) -> np.ndarray:
@@ -129,39 +134,81 @@ def expm_batch(a: np.ndarray) -> np.ndarray:
 
     Uniformized Taylor series: exp(A) = e^-lam exp(A + lam I) with
     lam = max_i(-A_ii), so X = A + lam I is nonnegative with ||X||_inf = lam
-    and every term and squaring stays nonnegative.  X is scaled by 2^-s to
-    norm <= _TAYLOR_THETA, summed by Horner and squared back s times.  lam
-    and s are per matrix, so results do not depend on the batch partition.
+    and every term, partial sum and squaring stays nonnegative.  The degree
+    and the squarings are chosen per matrix from lam, so results do not
+    depend on the batch partition; a batch in one group is not gathered.
     """
     a = np.asarray(a, dtype=float)
     k = a.shape[-1]
-    batch_shape = a.shape[:-2]
-    flat = a.reshape((-1, k, k))
+    x = a.reshape((-1, k, k)).copy()
     diag = np.arange(k)
-    lam = -flat[:, diag, diag].min(axis=-1, initial=0.0)
+    lam = -x[:, diag, diag].min(axis=-1, initial=0.0)
+    x[:, diag, diag] += lam[:, None]
+    small = lam <= _THETA6                  # NaN lam goes to degree 8
+    if small.all():
+        return _exp_degree6(x, lam).reshape(a.shape)
+    if not small.any():
+        return _exp_degree8(x, lam).reshape(a.shape)
+    r = np.empty_like(x)
+    r[small] = _exp_degree6(x[small], lam[small])
+    r[~small] = _exp_degree8(x[~small], lam[~small])
+    return r.reshape(a.shape)
+
+
+def _exp_degree6(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """exp(X - lam I) by the degree-6 series of exp(X), for lam <= _THETA6."""
+    r = _taylor(x, 6)
+    r *= np.exp(-lam)[:, None, None]
+    return r
+
+
+def _exp_degree8(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """exp(X - lam I): the degree-8 series of 2^-s X, squared s times."""
     with np.errstate(divide="ignore"):
-        s = np.ceil(np.log2(lam / _TAYLOR_THETA))
+        s = np.ceil(np.log2(lam / _THETA8))
     s = np.where(np.isfinite(s), np.maximum(s, 0.0), 0.0).astype(np.int64)
     scale = 2.0 ** -s
-    x = flat * scale[:, None, None]
-    x[:, diag, diag] += (lam * scale)[:, None]
-
-    ident = np.eye(k)
-    r = x / _TAYLOR_DEGREE + ident
-    for j in range(_TAYLOR_DEGREE - 1, 0, -1):
-        r = x @ r
-        r /= j
-        r += ident
+    r = _taylor(x * scale[:, None, None], 8)
     r *= np.exp(-lam * scale)[:, None, None]
-
-    smax = int(s.max(initial=0))
-    for _ in range(smax):
+    for _ in range(int(s.max(initial=0))):
         need = s > 0
-        if not need.any():
-            break
         r[need] = r[need] @ r[need]
         s = s - need
-    return r.reshape(batch_shape + (k, k))
+    return r
+
+
+def _taylor(x: np.ndarray, degree: int) -> np.ndarray:
+    """sum_{j <= degree} X^j / j! for degree 6 or 8, by Paterson-Stockmeyer
+    (SIAM J. Comput. 2(1), 1973).
+
+    With H_j = sum_{i=j..degree} (j! / i!) X^(i-j), the sum is H_0 and
+    H_j = I + (X + (X^2 + X^3 H_{j+3} / (j+3)) / (j+2)) / (j+1).  Only the
+    X^3 H_{j+3} are matrix products besides X^2 and X^3 themselves: 3 at
+    degree 6, where H_6 = I, and 4 at degree 8.  Every step adds or scales
+    by a positive number in place, so no temporary holds a negative entry.
+    """
+    x2 = x @ x
+    x3 = x2 @ x
+    ident = np.eye(x.shape[-1])
+    if degree == 6:
+        h = x3 * (1 / 6)
+    else:
+        h = x2 * (1 / 8)
+        h += x
+        h *= 1 / 7
+        h += ident
+        h = x3 @ h
+        h *= 1 / 6
+    for j in (3, 0):
+        h += x2
+        h *= 1 / (j + 2)
+        h += x
+        h *= 1 / (j + 1)
+        h += ident
+        if j:
+            h = x3 @ h
+            h *= 1 / j
+    return h
 
 
 def ad(a: np.ndarray, h: np.ndarray) -> np.ndarray:

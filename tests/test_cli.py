@@ -467,10 +467,12 @@ class TestCliCommands:
         assert len(ran_on[2]) == 2 and threading.get_ident() not in ran_on[2]
 
     def test_threads_never_exceed_the_chunks_or_cores(self, workdir, monkeypatch):
-        # 40 trajectories in 6 chunks of 7, asked for on 64 threads
-        simulate, idents, started = sde.simulate_paths, [], []
+        # 40 trajectories in 6 chunks of 7, asked for on 64 threads.  The
+        # list holds the Thread objects: an exited thread's get_ident() may be
+        # reused by the next, e.g. when one worker ends before another starts
+        simulate, runners, started = sde.simulate_paths, [], []
         monkeypatch.setattr(sde, "simulate_paths", lambda *a, **kw: (
-            idents.append(threading.get_ident()) or simulate(*a, **kw)))
+            runners.append(threading.current_thread()) or simulate(*a, **kw)))
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(1) or start(thread))
@@ -479,8 +481,8 @@ class TestCliCommands:
         assert cli.main(["simulate", "--config", str(workdir / "run.cfg"),
                          "--out", str(workdir / "o"), "--threads", "64"]) == 0
         workers = min(6, os.cpu_count())
-        assert len(idents) == 6
-        assert len(set(idents)) == workers
+        assert len(runners) == 6
+        assert len(set(runners)) == workers
         assert len(started) == (workers if workers > 1 else 0)
         assert threading.active_count() == before
 

@@ -1,5 +1,7 @@
 """Lie algebra/group core: basis, exponential, derivative operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from ratingsde import (ValidationError, ad, basis_index_map, dexp_L, n_coords,
                        validate_stochastic)
+from ratingsde import lie
 from ratingsde.datasets import annual_example, cohort_1y
 from ratingsde.lie import coeffs_to_matrices, expm_batch
 
@@ -115,10 +118,59 @@ def _sparse_generators(scale: float) -> np.ndarray:
     return coeffs_to_matrices(c, 4)
 
 
+def _generators_at(lam: float, n: int = 200, seed: int = 5) -> np.ndarray:
+    """n K=4 generators whose largest exit rate max_i(-A_ii) is lam."""
+    c = np.random.default_rng(seed).uniform(0, 1, (n, 9))
+    exit_rate = -np.diagonal(coeffs_to_matrices(c, 4), axis1=1, axis2=2).min(axis=1)
+    return coeffs_to_matrices(c * (lam / exit_rate)[:, None], 4)
+
+
 class TestExpmBatch:
     @pytest.mark.parametrize("scale", [0.01, 5.0, 50.0])
     def test_no_negative_entries(self, scale):
         assert expm_batch(_sparse_generators(scale)).min() >= 0.0
+
+    @pytest.mark.parametrize("lam, degree, squarings", [
+        (7e-3, 6, 0),                       # the largest exit rate at paper sizes
+        (lie._THETA6 * (1 - 1e-6), 6, 0),
+        (lie._THETA6 * (1 + 1e-6), 8, 0),
+        (lie._THETA8 * (1 - 1e-6), 8, 0),
+        (lie._THETA8 * (1 + 1e-6), 8, 1)])
+    def test_degree_boundaries_match_scipy(self, monkeypatch, lam, degree, squarings):
+        from scipy.linalg import expm
+
+        series, taylor = [], lie._taylor
+        monkeypatch.setattr(lie, "_taylor", lambda x, d: (
+            series.append((d, x.sum(axis=-1).max())) or taylor(x, d)))
+        a = _generators_at(lam)
+        out = expm_batch(a)
+        # one series over the whole batch, of ||X||_inf = lam / 2^squarings
+        assert series == [(degree, pytest.approx(lam / 2 ** squarings, rel=1e-12))]
+        assert np.abs(out - np.stack([expm(g) for g in a])).max() <= 1e-15
+        assert out.min() >= 0.0
+
+    def test_mixed_batch_equals_each_solo_call_bitwise(self):
+        lams = (7e-3, lie._THETA6 * (1 - 1e-6), lie._THETA6 * (1 + 1e-6),
+                lie._THETA8 * (1 + 1e-6), 30.0)
+        a = np.concatenate([_generators_at(lam, 20, seed)
+                            for seed, lam in enumerate(lams)])
+        a = a[np.random.default_rng(3).permutation(len(a))]
+        solo = np.stack([expm_batch(g[None])[0] for g in a])
+        assert np.array_equal(expm_batch(a), solo)
+
+    def test_non_finite_generators_spoil_only_themselves(self):
+        c = np.random.default_rng(2).uniform(0, 1e-3, (2, 9))
+        c[0, 1], c[1, 4] = np.nan, np.inf
+        a = np.concatenate([_generators_at(7e-3, 3), coeffs_to_matrices(c, 4),
+                            _generators_at(5.0, 3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):   # as in sde._products
+                out = expm_batch(a)
+                solo = [expm_batch(g[None])[0] for g in a]
+        assert not np.isfinite(out[3]).all() and not np.isfinite(out[4]).all()
+        for i in (0, 1, 2, 5, 6, 7):
+            assert np.isfinite(out[i]).all() and np.array_equal(out[i], solo[i])
 
     @pytest.mark.parametrize("scale, tol", [(0.01, 1e-15), (5.0, 1e-12),
                                             (50.0, 1e-12)])
