@@ -157,6 +157,12 @@ class RunConfig:
             raise ValidationError(f"{self.source}: need at least 2 rating labels")
         if len(set(labels)) != len(labels):
             raise ValidationError(f"{self.source}: labels must be distinct, got {raw!r}")
+        for label in labels:
+            # labels name output files such as occupancy_<label>.svg
+            if label in (".", "..") or any(ch in label for ch in "/\\\0"):
+                raise ValidationError(
+                    f"{self.source}: labels must not contain '/', '\\', NUL or be "
+                    f"'.' or '..', got {label!r}")
         return labels
 
     @property

@@ -1,11 +1,24 @@
 """Self-contained SVG diagnostics (no plotting runtime required).
 
 Every drawing routine returns a complete ``<svg>`` document as a string;
-numbers are formatted with fixed precision so identical inputs always
-yield identical bytes.
+identical inputs always yield identical bytes.
+
+Every coordinate is written as ``format(float(v), '.2f')`` would write it:
+CPython's correctly rounded conversion of the binary value (David Gay's
+``dtoa``), so ``-0.0`` and ``-0.004`` print ``-0.00`` and an exact tie such
+as 0.125 rounds half to even. ``_fixed2`` formats whole arrays at once: the
+cents come from ``rint(100 * |v|)``, whose rounding error (at most
+5.8e-11 for |v| < 1e4) can only matter within 1e-6 of a half cent, so those
+near-ties take Python's ``format``, as do the rows holding a value of 1e4
+or more, a nan or an infinity. The digits are looked up in small tables
+of 4-byte words and the NUL bytes that pad them are dropped. Text nodes
+are XML-escaped, so any rating label keeps the document well-formed.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -18,13 +31,69 @@ _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
            "#9467bd", "#8c564b", "#e377c2", "#7f7f7f"]
 
 
-def _f(x: float) -> str:
-    return format(float(x), ".2f")
+def _words(table) -> np.ndarray:
+    """One uint32 per row of a (rows, 4) byte table; the bytes keep their
+    order in memory, whatever the machine's byte order."""
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint32)[:, 0]
 
 
-def _points_template(x) -> str:
-    """'x,%.2f' pairs joined by spaces, x formatted like _f: fill with y."""
-    return " ".join([f"{v:.2f},%.2f" for v in np.asarray(x, dtype=float).tolist()])
+@cache
+def _tables():
+    """The integer, cents and minus-sign words, built on the first call so
+    that importing the module does no numpy work."""
+    n = np.arange(10000, dtype=np.int16)[:, None]
+    digits = n // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")
+    # 0..9999, right-aligned and NUL-padded: 7 -> "\0\0\07"
+    integers = _words(np.where(n >= np.array([1000, 100, 10, 0], np.int16), digits, 0))
+    # ".dd" and a separator byte, for each separator _fixed2 takes: 5 -> ".05,"
+    cents = {sep: _words(np.column_stack([np.full(100, ord(".")), digits[:100, 2:],
+                                          np.full(100, ord(sep))]))
+             for sep in ", "}
+    return integers, cents, _words([[0, 0, 0, ord("-")]])[0]
+
+
+def _fixed2(cols, seps: str) -> list[str]:
+    """Rows of numbers, each exactly ``format(float(v), '.2f')``.
+
+    ``cols`` are arrays that broadcast to one (rows, points) shape, and
+    ``seps`` holds one separator per array, each ``,`` or a space. Row r
+    reads ``cols[0][r, 0] seps[0] cols[1][r, 0] seps[1] cols[0][r, 1] ...``
+    and ends with the last number, without its separator.
+    """
+    integers, cents_words, minus = _tables()
+    shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+    rows, points = shape
+    buf = np.empty((rows, points, len(cols), 3), dtype=np.uint32)
+    wide = np.zeros(shape, dtype=bool)
+    for j, (col, sep) in enumerate(zip(cols, seps, strict=True)):
+        v = np.asarray(col, dtype=float)
+        small = np.abs(v) < 1e4                  # False for nan and +-inf
+        scaled = np.where(small, np.abs(v), 0.0) * 100.0
+        cents = np.rint(scaled)
+        for i in np.flatnonzero(np.abs(scaled - cents) > 0.5 - 1e-6):
+            cents.flat[i] = abs(int(format(float(v.flat[i]), ".2f").replace(".", "")))
+        big = ~small | (cents >= 1e6)            # more than 4 integer digits
+        wide |= big
+        cents[big] = 0
+        units = np.floor(cents / 100)            # exact: cents is an integer below 1e6
+        buf[:, :, j, 0] = np.where(np.signbit(v), minus, np.uint32(0))
+        buf[:, :, j, 1] = integers[units.astype(np.intp)]
+        buf[:, :, j, 2] = cents_words[sep][(cents - 100 * units).astype(np.intp)]
+    raw = buf.view(np.uint8).reshape(rows, points * len(cols) * 12)
+    raw[:, -1] = ord("\n")                      # the row's last separator
+    out = raw[raw != 0].tobytes().decode("ascii").split("\n")[:-1]
+    if wide.any():
+        full = [np.broadcast_to(c, shape) for c in cols]
+        for r in np.flatnonzero(wide.any(axis=1)).tolist():
+            out[r] = "".join(f"{format(float(c[r, p]), '.2f')}{sep}"
+                             for p in range(points) for c, sep in zip(full, seps))[:-1]
+    return out
+
+
+def _escape(text: str) -> str:
+    """XML character data (html.escape without quotes, and without the
+    import of html's entity table)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _cycle_colors(n: int) -> list[str]:
@@ -56,7 +125,7 @@ class _Panel:
         ]
         if title:
             self.parts.append(
-                f'<text class="t" x="{x0 + 4}" y="{y0 - 4}">{title}</text>')
+                f'<text class="t" x="{x0 + 4}" y="{y0 - 4}">{_escape(title)}</text>')
         self.parts.append(
             f'<text x="{x0}" y="{y0 + _PANEL_H + 12}">{format(self.xmin, ".3g")}</text>')
         self.parts.append(
@@ -74,20 +143,20 @@ class _Panel:
         return self.y0 + _PANEL_H - (np.asarray(y) - self.ymin) / (self.ymax - self.ymin) * _PANEL_H
 
     def polylines(self, x, ys, colors, width=1.0, opacity=1.0):
-        """One polyline per row of ys over the shared x, colored by colors.
-
-        The x coordinates are formatted once, so a row costs one %-format.
-        """
-        template = _points_template(self.px(x))
-        for y, color in zip(self.py(ys).tolist(), colors, strict=True):
+        """One polyline per row of ys over the shared x, colored by colors."""
+        points = _fixed2([self.px(x), self.py(ys)], ", ")
+        for pts, color in zip(points, colors, strict=True):
             self.parts.append(
-                f'<polyline points="{template % tuple(y)}" fill="none" '
+                f'<polyline points="{pts}" fill="none" '
                 f'stroke="{color}" stroke-width="{width}" stroke-opacity="{opacity}"/>')
 
-    def bar(self, x, y, w, h, color):
-        self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{color}" stroke="#333" stroke-width="0.5"/>')
+
+def _bars(x, y, w, h, colors) -> list[str]:
+    """One <rect> per element of the equal-length pixel arrays and colors."""
+    rects = _fixed2([np.column_stack([x, y, w, h])], " ")
+    return [f'<rect x="{bx}" y="{by}" width="{bw}" height="{bh}" '
+            f'fill="{color}" stroke="#333" stroke-width="0.5"/>'
+            for (bx, by, bw, bh), color in zip(map(str.split, rects), colors, strict=True)]
 
 
 def _panel_grid(k: int):
@@ -127,19 +196,16 @@ def entry_histograms(rt: np.ndarray, labels: list[str]) -> str:
     body = []
     for idx, (x0, y0) in enumerate(origins):
         i, j = divmod(idx, k)
-        vals = rt[:, i, j]
-        counts, edges = np.histogram(vals, bins=_HIST_BINS)
+        counts, edges = np.histogram(rt[:, i, j], bins=_HIST_BINS)
         panel = _Panel(x0, y0, (float(edges[0]), float(edges[-1])),
                        (0.0, float(max(counts.max(), 1))),
                        title=f"{labels[i]}-{labels[j]}")
-        for b in range(_HIST_BINS):
-            if counts[b] == 0:
-                continue
-            xl = panel.px(edges[b])
-            xr = panel.px(edges[b + 1])
-            yt = panel.py(counts[b])
-            panel.bar(xl, yt, max(xr - xl, 0.5), panel.py(0) - yt, "#1f77b4")
-        body.extend(panel.parts)
+        filled = np.flatnonzero(counts)
+        xl = panel.px(edges[filled])
+        xr = panel.px(edges[filled + 1])
+        yt = panel.py(counts[filled])
+        body += panel.parts + _bars(xl, yt, np.maximum(xr - xl, 0.5), panel.py(0) - yt,
+                                    ["#1f77b4"] * len(filled))
     return _svg(width, height, body)
 
 
@@ -153,7 +219,7 @@ def occupancy_plot(times: np.ndarray, freq: np.ndarray, labels: list[str],
     panel.polylines(times, freq.T, _cycle_colors(k), width=1.3)
     legend = [
         f'<text x="{x0 + _PANEL_W + 8}" y="{y0 + 14 + 14 * j}" '
-        f'fill="{_COLORS[j % len(_COLORS)]}">{labels[j]}</text>'
+        f'fill="{_COLORS[j % len(_COLORS)]}">{_escape(labels[j])}</text>'
         for j in range(k)
     ]
     return _svg(_PANEL_W + 2 * _MARGIN + 60, _PANEL_H + 2 * _MARGIN,
@@ -168,22 +234,24 @@ def predefault_bars(matrix: np.ndarray, labels: list[str]) -> str:
     top = float(max(col_tot.max(), 1e-12))
     panel = _Panel(x0, y0, (0.0, float(k)), (0.0, top), title="pre-default rating")
     bar_w = _PANEL_W / k * 0.6
-    for j in range(k):
-        xl = panel.px(j + 0.2)
-        base = 0.0
-        for i in range(k):
-            h = matrix[i, j]
-            if h <= 0:
-                continue
-            yt = panel.py(base + h)
-            panel.bar(xl, yt, bar_w, panel.py(base) - yt,
-                      _COLORS[i % len(_COLORS)])
-            base += h
+    # column j stacks its positive entries from row 0 up, column after column
+    shown = matrix > 0
+    tops = np.cumsum(np.where(shown, matrix, 0.0), axis=0)
+    bases = np.vstack([np.zeros(k), tops[:-1]])
+    cols, rows = np.nonzero(shown.T)
+    xl = panel.px(np.arange(k) + 0.2)
+    yt = panel.py(tops[rows, cols])
+    rects = iter(_bars(xl[cols], yt, np.full(len(cols), bar_w),
+                       panel.py(bases[rows, cols]) - yt,
+                       [_COLORS[i % len(_COLORS)] for i in rows.tolist()]))
+    label_x = _fixed2([xl[:, None]], " ")
+    for j, n in enumerate(shown.sum(axis=0).tolist()):
+        panel.parts += islice(rects, n)
         panel.parts.append(
-            f'<text x="{_f(xl)}" y="{y0 + _PANEL_H + 12}">{labels[j]}</text>')
+            f'<text x="{label_x[j]}" y="{y0 + _PANEL_H + 12}">{_escape(labels[j])}</text>')
     legend = [
         f'<text x="{x0 + _PANEL_W + 8}" y="{y0 + 14 + 14 * i}" '
-        f'fill="{_COLORS[i % len(_COLORS)]}">from {labels[i]}</text>'
+        f'fill="{_COLORS[i % len(_COLORS)]}">from {_escape(labels[i])}</text>'
         for i in range(k)
     ]
     return _svg(_PANEL_W + 2 * _MARGIN + 80, _PANEL_H + 2 * _MARGIN,

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from ratingsde.config import KNOWN_KEYS, RunConfig, parse_config_text
 from ratingsde.datasets import data_path
 from ratingsde.matio import (format_rating_csv, read_params_csv, read_pd_csv,
                              read_rating_csv, write_params_csv, write_rating_csv)
-from ratingsde.svgplot import _Panel, _points_template, trajectory_fans
+from ratingsde import svgplot
+from ratingsde.svgplot import (_Panel, _fixed2, entry_histograms, occupancy_plot,
+                               predefault_bars, trajectory_fans)
 
 from conftest import (ADJUSTED_PUBLISHED, PRINT_TOL, SRC_ROOT, recorded_ssa, run_cli,
                       simulate_with_increments)
@@ -90,13 +93,106 @@ class TestMatIo:
         assert np.array_equal(pds, [0.1, 0.2, 0.3, 1.0])
 
 
+def _f(v) -> str:
+    return format(float(v), ".2f")
+
+
+def _formats_like_python(values):
+    """_fixed2 of values, one number per row, against format per element."""
+    values = np.asarray(values, dtype=float).ravel()
+    assert _fixed2([values[:, None]], " ") == [_f(v) for v in values]
+
+
+# Reference writers: each coordinate through its own format call, each
+# histogram bin and stacked bar through its own rect, as the writers did
+# before they formatted whole arrays; the panel frames are shared.
+def _ref_polylines(panel, x, ys, colors, width=1.0, opacity=1.0):
+    for y, color in zip(ys, colors):
+        pts = " ".join(f"{_f(a)},{_f(b)}" for a, b in zip(panel.px(x), panel.py(y)))
+        panel.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                           f'stroke-width="{width}" stroke-opacity="{opacity}"/>')
+
+
+def _ref_rect(panel, x, y, w, h, color):
+    panel.parts.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
+                       f'height="{_f(h)}" fill="{color}" stroke="#333" stroke-width="0.5"/>')
+
+
+def _ref_trajectory_fans(times, rpaths, labels):
+    m, _, k, _ = rpaths.shape
+    shown = min(m, svgplot._FAN_PATHS)
+    origins, width, height = svgplot._panel_grid(k)
+    body = []
+    for idx, (x0, y0) in enumerate(origins):
+        i, j = divmod(idx, k)
+        vals = rpaths[:shown, :, i, j]
+        panel = _Panel(x0, y0, (times[0], times[-1]), (float(vals.min()), float(vals.max())),
+                       title=f"{labels[i]}-{labels[j]}")
+        _ref_polylines(panel, times, vals, svgplot._cycle_colors(shown), 0.7, 0.6)
+        body.extend(panel.parts)
+    return svgplot._svg(width, height, body)
+
+
+def _ref_entry_histograms(rt, labels):
+    _, k, _ = rt.shape
+    origins, width, height = svgplot._panel_grid(k)
+    body = []
+    for idx, (x0, y0) in enumerate(origins):
+        i, j = divmod(idx, k)
+        counts, edges = np.histogram(rt[:, i, j], bins=svgplot._HIST_BINS)
+        panel = _Panel(x0, y0, (float(edges[0]), float(edges[-1])),
+                       (0.0, float(max(counts.max(), 1))), title=f"{labels[i]}-{labels[j]}")
+        for b in range(svgplot._HIST_BINS):
+            if counts[b] == 0:
+                continue
+            xl, xr, yt = panel.px(edges[b]), panel.px(edges[b + 1]), panel.py(counts[b])
+            _ref_rect(panel, xl, yt, max(xr - xl, 0.5), panel.py(0) - yt, "#1f77b4")
+        body.extend(panel.parts)
+    return svgplot._svg(width, height, body)
+
+
+def _ref_occupancy_plot(times, freq, labels, i0_label):
+    k = freq.shape[1]
+    m = svgplot._MARGIN
+    panel = _Panel(m, m, (times[0], times[-1]), (0.0, 1.0), title=f"occupancy from {i0_label}")
+    _ref_polylines(panel, times, freq.T, svgplot._cycle_colors(k), 1.3)
+    legend = [f'<text x="{m + svgplot._PANEL_W + 8}" y="{m + 14 + 14 * j}" '
+              f'fill="{svgplot._COLORS[j % 8]}">{labels[j]}</text>' for j in range(k)]
+    return svgplot._svg(svgplot._PANEL_W + 2 * m + 60, svgplot._PANEL_H + 2 * m,
+                        panel.parts + legend)
+
+
+def _ref_predefault_bars(matrix, labels):
+    k = matrix.shape[0]
+    m = svgplot._MARGIN
+    panel = _Panel(m, m, (0.0, float(k)), (0.0, float(max(matrix.sum(axis=0).max(), 1e-12))),
+                   title="pre-default rating")
+    for j in range(k):
+        xl = panel.px(j + 0.2)
+        base = 0.0
+        for i in range(k):
+            h = matrix[i, j]
+            if h <= 0:
+                continue
+            yt = panel.py(base + h)
+            _ref_rect(panel, xl, yt, svgplot._PANEL_W / k * 0.6, panel.py(base) - yt,
+                      svgplot._COLORS[i % 8])
+            base += h
+        panel.parts.append(f'<text x="{_f(xl)}" y="{m + svgplot._PANEL_H + 12}">'
+                           f'{labels[j]}</text>')
+    legend = [f'<text x="{m + svgplot._PANEL_W + 8}" y="{m + 14 + 14 * i}" '
+              f'fill="{svgplot._COLORS[i % 8]}">from {labels[i]}</text>' for i in range(k)]
+    return svgplot._svg(svgplot._PANEL_W + 2 * m + 80, svgplot._PANEL_H + 2 * m,
+                        panel.parts + legend)
+
+
 class TestSvgPlot:
     def test_points_match_per_coordinate_format(self):
         x = np.array([0.0, -0.0, 0.125, 0.375, -0.004, -1.005, 2.675, 1e6 / 3])
         y = np.array([-0.125, 0.005, -0.0, 12.345, 0.625, -7.5, 1.115, -2.5])
         ref = " ".join(f"{format(float(a), '.2f')},{format(float(b), '.2f')}"
                        for a, b in zip(x, y))
-        assert _points_template(x) % tuple(y.tolist()) == ref
+        assert _fixed2([x, y[None]], ", ") == [ref]
         assert "-0.00" in ref and "0.12" in ref and "0.38" in ref
 
     def test_polylines_match_per_coordinate_format(self):
@@ -108,20 +204,72 @@ class TestSvgPlot:
                           [-7.625, 3.0, -80.0, 0.625, 12.345]])
         colors = ["#111111", "#222222", "#333333"]
         panel = _Panel(36, 36, (0.0, 220.0), (-80.0, 80.0))
-        before = len(panel.parts)
+        ref_panel = _Panel(36, 36, (0.0, 220.0), (-80.0, 80.0))
         panel.polylines(times, paths, colors, width=0.7, opacity=0.6)
-        ref = []
-        for y, color in zip(paths, colors):
-            pts = " ".join(f"{format(float(a), '.2f')},{format(float(b), '.2f')}"
-                           for a, b in zip(panel.px(times), panel.py(y)))
-            ref.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                       'stroke-width="0.7" stroke-opacity="0.6"/>')
-        assert panel.parts[before:] == ref
-        assert "36.12," in ref[0] and "36.38," in ref[0]
+        _ref_polylines(ref_panel, times, paths, colors, width=0.7, opacity=0.6)
+        assert panel.parts == ref_panel.parts
+        assert "36.12," in panel.parts[-3] and "36.38," in panel.parts[-3]
         rpaths = np.stack([paths, -paths[::-1], paths[:, ::-1], 2 * paths],
                           axis=-1).reshape(3, 5, 2, 2)
         fans = trajectory_fans(times, rpaths, ["A", "D"])
-        assert fans.count("<polyline") == 12 and ref[0].split('" ')[0] in fans
+        assert fans.count("<polyline") == 12 and panel.parts[-3].split('" ')[0] in fans
+
+    def test_exact_ties_round_half_to_even(self):
+        k = np.arange(0, 80_000) / 8          # every multiple of 1/8 below 1e4
+        _formats_like_python(np.concatenate([k, -k]))
+
+    def test_neighbours_of_half_cents(self):
+        half = (np.arange(0, 1_000_000, 97) + 0.5) / 100     # 10,310 half-cents below 1e4
+        _formats_like_python([half, np.nextafter(half, 0), np.nextafter(half, np.inf),
+                              -np.nextafter(half, 0), -np.nextafter(half, np.inf)])
+
+    def test_signed_zeros_and_tiny_negatives(self):
+        values = [0.0, -0.0, -0.004, -0.0049999, -0.005, 0.004, -1e-300, -5e-324]
+        _formats_like_python(values)
+        assert _fixed2([np.array(values)[None]], " ")[0].split()[:3] == [
+            "0.00", "-0.00", "-0.00"]
+
+    def test_values_without_four_digit_integer_parts(self):
+        values = [9999.99, 9999.994999, 9999.995, np.nextafter(9999.995, 0),
+                  np.nextafter(9999.995, np.inf), 1e4, -1e4, 12345.675, 1e15, -1e15,
+                  1e300, -1e300, np.finfo(float).max]
+        _formats_like_python(values)
+        assert _fixed2([np.array([1e4, -1e15])[None]], " ") == ["10000.00 -1000000000000000.00"]
+
+    def test_subnormals_nan_and_infinities(self):
+        tiny = np.finfo(float).smallest_subnormal
+        _formats_like_python([tiny, -tiny, 2.2e-308, -2.2e-308, np.nan, -np.nan,
+                              np.inf, -np.inf])
+
+    def test_wide_value_formats_its_whole_row(self):
+        rows = _fixed2([np.array([0.5, 1.25]), np.array([[1.0, 2.0], [3.0, np.inf]])], ", ")
+        assert rows == ["0.50,1.00 1.25,2.00", "0.50,3.00 1.25,inf"]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-2e4, 2e4)), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        _formats_like_python(values)
+
+    def test_writers_match_the_per_coordinate_reference(self):
+        rng = np.random.default_rng(29)
+        times = np.linspace(0.0, 1.0, 121)
+        labels = ["A", "B", "C", "D"]
+        rpaths = rng.dirichlet(np.ones(4), size=(50, 121, 4))
+        rpaths[:, :, 3] = [0.0, 0.0, 0.0, 1.0]
+        assert trajectory_fans(times, rpaths, labels) == _ref_trajectory_fans(
+            times, rpaths, labels)
+        # entries on a coarse lattice leave most of the 30 bins empty
+        rt = np.round(rng.dirichlet(np.ones(4), size=(1000, 4)) * 8) / 8
+        assert entry_histograms(rt, labels) == _ref_entry_histograms(rt, labels)
+        freq = rng.dirichlet(np.ones(4), size=121)
+        assert occupancy_plot(times, freq, labels, "B") == _ref_occupancy_plot(
+            times, freq, labels, "B")
+        matrix = rng.uniform(0, 0.2, (4, 4)) * (rng.uniform(size=(4, 4)) < 0.6)
+        matrix[:, 1] = 0.0                    # a column with no bar
+        assert (matrix == 0).sum() > 4
+        assert predefault_bars(matrix, labels) == _ref_predefault_bars(matrix, labels)
+        empty = np.zeros((4, 4))
+        assert predefault_bars(empty, labels) == _ref_predefault_bars(empty, labels)
 
 
 class TestConfig:
@@ -849,6 +997,29 @@ class TestCliCommands:
         for name in ("occupancy_t1.csv", "predefault.csv", "predefault.svg",
                      "occupancy_A.svg"):
             assert (workdir / "g" / name).exists()
+
+    def test_labels_with_markup_characters_keep_every_svg_well_formed(self, workdir):
+        cfg = _edit_config(workdir, {"labels = A,B,C,D": "labels = A&B,B<,C,D>"})
+        titles = []
+        for command in ("simulate", "ssa"):
+            out = workdir / command
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            svgs = sorted(out.glob("*.svg"))
+            assert len(svgs) == {"simulate": 2, "ssa": 4}[command]
+            for path in svgs:
+                root = ET.parse(path).getroot()
+                titles += [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert {"A&B-B<", "occupancy from B<", "from D>", "C"} <= set(titles)
+        assert (workdir / "ssa" / "occupancy_A&B.svg").exists()
+
+    @pytest.mark.parametrize("labels", ["A/B,B,C,D", "A,B\\C,C,D", "A,..,C,D", ".,B,C,D",
+                                        "A,B,C\0,D"])
+    def test_label_that_is_no_file_name_exits_one(self, workdir, capsys, labels):
+        cfg = _edit_config(workdir, {"labels = A,B,C,D": f"labels = {labels}"})
+        code = cli.main(["ssa", "--config", str(cfg), "--out", str(workdir / "o")])
+        assert code == 1
+        assert f"ratingsde: validation error: {cfg}: labels " in capsys.readouterr().err
+        assert list((workdir / "o").iterdir()) == []
 
     def test_ssa_initial_subset(self, workdir):
         cfg = workdir / "run.cfg"
